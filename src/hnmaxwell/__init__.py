@@ -34,12 +34,14 @@ from .stepper import (
     EnergyTrace,
     ErrorReport,
     HNParams,
+    Separable,
+    SourceLoads,
     SourceSet,
+    StepOperator,
     StepperState,
     energy,
     energy_components,
     init_state,
-    make_step_operator,
     manufactured_sources,
     observed_rates,
     run_convergence,

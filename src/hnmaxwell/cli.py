@@ -29,11 +29,11 @@ import numpy as np
 from . import checks
 from .fem import assemble, build_mesh
 from .monotonicity import default_grid, indicator_rho, sweep_grid
-from .prabhakar import hn_kernel
+from .prabhakar import SeriesConvergenceError, hn_kernel
 from .quadrature import SCHEMES, generate_weights
-from .stepper import HNParams, observed_rates, run_convergence, run_energy
+from .stepper import HNParams, run_convergence, run_energy
 
-__all__ = ["ExperimentConfig", "run", "observed_rates", "main"]
+__all__ = ["ExperimentConfig", "run", "main"]
 
 EXPERIMENTS = ("weights", "cm-check", "kernel", "convergence", "energy")
 
@@ -383,7 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"hnmx: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        return run(cfg)
+    except SeriesConvergenceError as exc:
+        print(f"hnmx: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

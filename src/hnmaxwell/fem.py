@@ -162,14 +162,6 @@ class FieldVectors:
     p: np.ndarray
     h: np.ndarray
 
-    @classmethod
-    def zeros(cls, mesh: MaxwellMesh) -> "FieldVectors":
-        return cls(
-            e=np.zeros(mesh.n_edges),
-            p=np.zeros(mesh.n_edges),
-            h=np.zeros(mesh.n_cells),
-        )
-
 
 @dataclass(frozen=True)
 class AssembledOperators:

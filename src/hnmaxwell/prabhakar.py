@@ -17,7 +17,9 @@ quadrature and the manufactured-solution sources.
 
 All functions are pure and intended for desk-scale arguments (|z| <= ~10);
 there is no large-argument asymptotic branch, out-of-range requests fail
-loudly instead of losing accuracy.
+loudly instead of losing accuracy: the series raises when it exhausts its
+term cap, and when its largest term is so much larger than the sum that
+rounding in the terms alone exceeds ``CANCELLATION_TOL`` relative to the sum.
 """
 
 from __future__ import annotations
@@ -39,10 +41,15 @@ REL_TOL = 1e-16
 # desk-scale case needs ~550 terms); genuinely out-of-scale arguments still
 # exhaust the cap and fail loudly
 MAX_TERMS = 800
+# the sum keeps a relative accuracy of about EPS * max|term| / |sum|; that is
+# 1.3e-8 at the edge of the default kernel range (alpha = 1, t = 10)
+EPS = 2.2e-16
+CANCELLATION_TOL = 1e-7
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Series did not reach the termination tolerance within the term cap."""
+    """Series did not reach the termination tolerance within the term cap, or
+    lost its accuracy to cancellation between its terms."""
 
     def __init__(self, message: str, last_term: float):
         super().__init__(message)
@@ -51,13 +58,11 @@ class SeriesConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrabhakarParams:
-    """Parameters (rho, mu, gamma) of the three-parameter Mittag-Leffler
-    series plus the kernel argument multiplier lam used by ``prabhakar_e``."""
+    """Parameters (rho, mu, gamma) of the three-parameter Mittag-Leffler series."""
 
     rho: float
     mu: float
     gamma: float
-    lam: float = -1.0
 
     def validate(self) -> None:
         if not (self.rho > 0 and self.mu > 0 and self.gamma > 0):
@@ -75,16 +80,24 @@ def ml3(params: PrabhakarParams, z: float) -> float:
         term_{k+1} / term_k = (k + gamma) / (k + 1) * exp(lgamma(rho k + mu) - lgamma(rho k + rho + mu)) * z
 
     and summed with Kahan compensation until |term| < 1e-16 * (1 + |sum|),
-    capped at ``MAX_TERMS``.
+    capped at ``MAX_TERMS``.  Raises :class:`SeriesConvergenceError` when the
+    cap is reached or when EPS * max|term| > CANCELLATION_TOL * |sum|.
     """
     params.validate()
     rho, mu, gamma = params.rho, params.mu, params.gamma
 
     term = 1.0 / math.gamma(mu)  # k = 0
     total = term
+    largest = abs(term)
     comp = 0.0
     for k in range(MAX_TERMS):
         if abs(term) < REL_TOL * (1.0 + abs(total)):
+            if EPS * largest > CANCELLATION_TOL * abs(total):
+                raise SeriesConvergenceError(
+                    f"Prabhakar series cancels (rho={rho}, mu={mu}, gamma={gamma}, z={z}): "
+                    f"largest term {largest:.3e}, sum {total:.3e}",
+                    last_term=abs(term),
+                )
             return total
         ratio = (
             (k + gamma)
@@ -92,6 +105,7 @@ def ml3(params: PrabhakarParams, z: float) -> float:
             * math.exp(math.lgamma(rho * k + mu) - math.lgamma(rho * (k + 1) + mu))
         )
         term = term * ratio * z
+        largest = max(largest, abs(term))
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -104,10 +118,10 @@ def ml3(params: PrabhakarParams, z: float) -> float:
 
 
 def prabhakar_e(params: PrabhakarParams, t: float) -> float:
-    """Kernel-form evaluation t^(mu-1) * ml3(params, lam * t^rho) for t > 0."""
+    """Kernel-form evaluation t^(mu-1) * ml3(params, -t^rho) for t > 0."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    return t ** (params.mu - 1.0) * ml3(params, params.lam * t**params.rho)
+    return t ** (params.mu - 1.0) * ml3(params, -t**params.rho)
 
 
 def hn_kernel(alpha: float, beta: float, t: float) -> float:

@@ -11,17 +11,24 @@ and P from the step leaves one symmetric positive definite solve per step,
 
     A e^m = rhs,   A = ((eps_inf + delta_eps*w0)/tau) M_E + (tau/4) C^T M_H^{-1} C,
 
-after which H follows explicitly and P is recovered from the convolution.
-With completely monotonic weights and zero sources the discrete energy
+after which H follows explicitly.  The only E history kept is M_E e^k on the
+free edge dofs (plus ||E^k||^2); it feeds the memory term of rhs, and P is
+recovered from the relation above with one mass solve.  With completely
+monotonic weights and zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
 
-is nonincreasing for any step size.  The level-0 polarization is taken from
-the n = 0 convolution relation (it vanishes whenever E^0 = 0 and g3(0) = 0),
-which is what makes the decay inequality hold already at the first step.
+is nonincreasing for any step size on the smooth standing data of the energy
+checks.  The level-0 polarization is taken from the n = 0 convolution
+relation (it vanishes whenever E^0 = 0 and g3(0) = 0), which is what makes
+the decay inequality hold already at the first step.  For arbitrary data it
+does not hold: the step change at m = 1 is -delta_eps * w_1 * (E^1, E^0),
+positive whenever E changes sign across the step (rough fields, large tau).
 
-Source terms g1 (Ampere), g2 (Faraday) enter as endpoint averages
-(g(t_m) + g(t_{m-1}))/2; the constitutive source g3 enters at t_m.
+Each source g1 (Ampere), g2 (Faraday) and g3 is separable, sum_i f_i(t) s_i(x, y);
+:meth:`SourceSet.assemble` turns every s_i into a load vector L_i once, and a
+step forms G(t) = sum_i f_i(t) L_i.  g1 and g2 enter as endpoint averages
+(G(t_m) + G(t_{m-1}))/2; g3 enters at t_m.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ from .fem import (
     AssembledOperators,
     FieldVectors,
     MaxwellMesh,
-    ScalarField,
-    VectorField,
     assemble,
     assemble_cell_load,
     assemble_edge_load,
@@ -52,12 +57,15 @@ from .quadrature import CQWeights, generate_weights
 
 __all__ = [
     "HNParams",
+    "Separable",
     "SourceSet",
+    "AssembledSource",
+    "SourceLoads",
+    "StepOperator",
     "StepperState",
     "EnergyTrace",
     "ErrorReport",
     "SolveError",
-    "make_step_operator",
     "init_state",
     "step",
     "energy",
@@ -71,11 +79,11 @@ __all__ = [
     "run_energy",
     "run_convergence",
     "observed_rates",
-    "DIRECT_SOLVER_DOF_LIMIT",
 ]
 
-DIRECT_SOLVER_DOF_LIMIT = 200_000
 SOLVER_RTOL = 1e-12
+
+TimeFactor = Callable[[float], float]
 
 
 class SolveError(RuntimeError):
@@ -111,12 +119,48 @@ class HNParams:
 
 
 @dataclass(frozen=True)
-class SourceSet:
-    """Source closures for the three equations; None means identically zero."""
+class Separable:
+    """Source sum_i f_i(t) * s_i(x, y): scalar time factors f_i times fixed
+    spatial fields s_i, all vector-valued or all scalar-valued.
 
-    g1: VectorField | None = None
-    g2: ScalarField | None = None
-    g3: VectorField | None = None
+    Called as ``g(x, y, t)`` it sums the terms pointwise, so it also serves
+    as a VectorField or ScalarField.
+    """
+
+    terms: tuple[tuple[TimeFactor, Callable], ...]
+
+    def __call__(self, x, y, t):
+        return sum(f(t) * np.asarray(s(x, y)) for f, s in self.terms)
+
+
+@dataclass(frozen=True)
+class AssembledSource:
+    """A separable source on the mesh: its load at t is sum_i f_i(t) loads[i]."""
+
+    factors: tuple[TimeFactor, ...]
+    loads: np.ndarray
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.array([f(t) for f in self.factors]) @ self.loads
+
+
+@dataclass(frozen=True)
+class SourceLoads:
+    """A :class:`SourceSet` assembled on one mesh: g1 and g3 on the free edge
+    dofs, g2 on the cells; None means identically zero."""
+
+    g1: AssembledSource | None = None
+    g2: AssembledSource | None = None
+    g3: AssembledSource | None = None
+
+
+@dataclass(frozen=True)
+class SourceSet:
+    """Separable sources of the three equations; None means identically zero."""
+
+    g1: Separable | None = None
+    g2: Separable | None = None
+    g3: Separable | None = None
 
     @classmethod
     def zero(cls) -> "SourceSet":
@@ -126,9 +170,25 @@ class SourceSet:
     def is_zero(self) -> bool:
         return self.g1 is None and self.g2 is None and self.g3 is None
 
+    def assemble(self, ops: AssembledOperators) -> SourceLoads:
+        """Load vector of every spatial field, each assembled once."""
+
+        def assembled(g, assemble_load, rows):
+            if g is None:
+                return None
+            loads = [assemble_load(ops.mesh, lambda x, y, t, s=s: s(x, y), 0.0) for _, s in g.terms]
+            return AssembledSource(tuple(f for f, _ in g.terms), np.array(loads)[:, rows])
+
+        free = ops.free_edges
+        return SourceLoads(
+            g1=assembled(self.g1, assemble_edge_load, free),
+            g2=assembled(self.g2, assemble_cell_load, slice(None)),
+            g3=assembled(self.g3, assemble_edge_load, free),
+        )
+
 
 class StepOperator:
-    """Factorized solver for the per-step SPD system on the free edge dofs."""
+    """Factorized step matrix and reduced edge mass matrix on the free edge dofs."""
 
     def __init__(self, ops: AssembledOperators, params: HNParams, tau: float, w0: float):
         if w0 <= 0.0:
@@ -139,26 +199,17 @@ class StepOperator:
             ((params.eps_inf + params.delta_eps * w0) / tau) * ops.m_e
             + 0.25 * tau * self.curlcurl
         ).tocsc()
-        self.tau = tau
-        self._n = self.matrix.shape[0]
-        self._direct = self._n <= DIRECT_SOLVER_DOF_LIMIT
-        self._lu = spla.splu(self.matrix) if (self._direct and self._n > 0) else None
-        self._mass_lu = None
-        self._ops = ops
+        empty = self.matrix.shape[0] == 0
+        self._lu = None if empty else spla.splu(self.matrix)
+        self._mass_lu = None if empty else spla.splu(ops.m_e.tocsc())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._n == 0:
+        """Solve the step system, with one refinement sweep if needed."""
+        if self._lu is None:
             return np.zeros(0)
-        if self._direct:
-            x = self._lu.solve(rhs)
-            x = self._refine(x, rhs)
-        else:
-            precond = sp.diags(1.0 / self.matrix.diagonal())
-            x, info = spla.cg(self.matrix, rhs, rtol=SOLVER_RTOL, maxiter=20 * self._n, M=precond)
-            if info != 0:
-                raise SolveError(
-                    f"CG did not converge (info={info})", residual=self._residual(x, rhs)
-                )
+        x = self._lu.solve(rhs)
+        if self._residual(x, rhs) > SOLVER_RTOL:
+            x = x + self._lu.solve(rhs - self.matrix @ x)
         res = self._residual(x, rhs)
         if res > SOLVER_RTOL:
             raise SolveError(f"solver residual {res:.3e} exceeds {SOLVER_RTOL}", residual=res)
@@ -166,16 +217,9 @@ class StepOperator:
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse of the reduced edge mass matrix."""
-        if self._n == 0:
-            return np.zeros(0)
         if self._mass_lu is None:
-            self._mass_lu = spla.splu(self._ops.m_e.tocsc())
+            return np.zeros(0)
         return self._mass_lu.solve(rhs)
-
-    def _refine(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if self._residual(x, rhs) > SOLVER_RTOL:
-            x = x + self._lu.solve(rhs - self.matrix @ x)
-        return x
 
     def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
         scale = np.linalg.norm(rhs)
@@ -184,26 +228,20 @@ class StepOperator:
         return float(np.linalg.norm(self.matrix @ x - rhs) / scale)
 
 
-def make_step_operator(
-    ops: AssembledOperators, params: HNParams, tau: float, w0: float
-) -> StepOperator:
-    return StepOperator(ops, params, tau, w0)
-
-
 @dataclass
 class StepperState:
-    """Mutable run state: fields at level n plus the whole E history.
+    """Mutable run state: fields at level n plus the E history.
 
-    History rows 0..n of the preallocated arrays are valid; the convolution
-    and the energy are always formed from the stored rows and the weight
-    table, never incrementally drifted.
+    Row k of ``me_free_history`` holds M_E e^k on the free edge dofs and
+    entry k of ``e_norm_sq_history`` holds ||E^k||^2; rows 0..n are valid.
+    The convolution, P and the energy are always formed from the stored rows
+    and the weight table, never incrementally drifted.
     """
 
     tau: float
     weights: CQWeights
     n: int
     fields: FieldVectors
-    e_history: np.ndarray
     me_free_history: np.ndarray
     e_norm_sq_history: np.ndarray
 
@@ -213,7 +251,7 @@ class StepperState:
 
     @property
     def capacity(self) -> int:
-        return self.e_history.shape[0] - 1
+        return self.e_norm_sq_history.size - 1
 
 
 def init_state(
@@ -223,8 +261,8 @@ def init_state(
     e0: np.ndarray,
     h0: np.ndarray,
     n_steps: int,
-    sources: SourceSet = SourceSet.zero(),
-    operator: StepOperator | None = None,
+    operator: StepOperator,
+    sources: SourceLoads = SourceLoads(),
 ) -> StepperState:
     """Set up level 0: interpolated E/H and the convolution-consistent P."""
     mesh = ops.mesh
@@ -232,28 +270,15 @@ def init_state(
         raise ValueError(f"need at least {n_steps + 1} weights, got {weights.order + 1}")
     e0 = np.asarray(e0, dtype=float).copy()
     e0[mesh.boundary_edges] = 0.0
-    fields = FieldVectors(e=e0, p=np.zeros(mesh.n_edges), h=np.asarray(h0, dtype=float).copy())
-    w0 = weights.weights[0]
-    fields.p[ops.free_edges] = params.delta_eps * w0 * e0[ops.free_edges]
-    if sources.g3 is not None:
-        if operator is None:
-            operator = make_step_operator(ops, params, weights.tau, w0)
-        load = assemble_edge_load(mesh, sources.g3, 0.0)
-        fields.p[ops.free_edges] += operator.solve_mass(load[ops.free_edges])
-
     state = StepperState(
         tau=weights.tau,
         weights=weights,
         n=0,
-        fields=fields,
-        e_history=np.zeros((n_steps + 1, mesh.n_edges)),
+        fields=FieldVectors(e=e0, p=np.zeros(mesh.n_edges), h=np.asarray(h0, dtype=float).copy()),
         me_free_history=np.zeros((n_steps + 1, ops.free_edges.size)),
         e_norm_sq_history=np.zeros(n_steps + 1),
     )
-    state.e_history[0] = e0
-    me = ops.m_e_full @ e0
-    state.me_free_history[0] = me[ops.free_edges]
-    state.e_norm_sq_history[0] = e0 @ me
+    _close_level(state, ops, params, operator, sources)
     return state
 
 
@@ -261,9 +286,8 @@ def step(
     state: StepperState,
     ops: AssembledOperators,
     params: HNParams,
-    sources: SourceSet = SourceSet.zero(),
-    operator: StepOperator | None = None,
-    _load_cache: dict | None = None,
+    operator: StepOperator,
+    sources: SourceLoads = SourceLoads(),
 ) -> StepperState:
     """Advance the state from level n to n+1 in place (and return it)."""
     m = state.n + 1
@@ -272,11 +296,6 @@ def step(
     tau = state.tau
     w = state.weights.weights
     free = ops.free_edges
-    mesh = ops.mesh
-    if operator is None:
-        operator = make_step_operator(ops, params, tau, w[0])
-    cache = _load_cache if _load_cache is not None else {}
-
     t_m, t_prev = m * tau, (m - 1) * tau
     e_prev_free = state.fields.e[free]
     h_prev = state.fields.h
@@ -291,56 +310,46 @@ def step(
 
     b2 = None
     if sources.g2 is not None:
-        b2 = 0.5 * (
-            _cached_load(cache, "g2", t_m, lambda: assemble_cell_load(mesh, sources.g2, t_m))
-            + _cached_load(cache, "g2", t_prev, lambda: assemble_cell_load(mesh, sources.g2, t_prev))
-        )
+        b2 = 0.5 * (sources.g2(t_m) + sources.g2(t_prev))
         rhs += 0.5 * tau * (ops.c.T @ (b2 / ops.m_h_diag))
     if sources.g1 is not None:
-        b1 = 0.5 * (
-            _cached_load(cache, "g1", t_m, lambda: assemble_edge_load(mesh, sources.g1, t_m))
-            + _cached_load(cache, "g1", t_prev, lambda: assemble_edge_load(mesh, sources.g1, t_prev))
-        )
-        rhs += b1[free]
+        rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
     if sources.g3 is not None:
-        g3_m = _cached_load(cache, "g3", t_m, lambda: assemble_edge_load(mesh, sources.g3, t_m))
-        g3_prev = _cached_load(
-            cache, "g3", t_prev, lambda: assemble_edge_load(mesh, sources.g3, t_prev)
-        )
-        rhs -= (g3_m[free] - g3_prev[free]) / tau
+        rhs -= (sources.g3(t_m) - sources.g3(t_prev)) / tau
 
-    e_free = operator.solve(rhs)
-    e_full = np.zeros(mesh.n_edges)
-    e_full[free] = e_free
+    e_full = np.zeros(ops.mesh.n_edges)
+    e_full[free] = operator.solve(rhs)
 
     h_new = h_prev - 0.5 * tau * (ops.c_full @ (e_full + state.fields.e)) / ops.m_h_diag
     if b2 is not None:
         h_new += tau * b2 / ops.m_h_diag
 
-    state.e_history[m] = e_full
-    me = ops.m_e_full @ e_full
-    state.me_free_history[m] = me[free]
-    state.e_norm_sq_history[m] = e_full @ me
-
-    p_full = np.zeros(mesh.n_edges)
-    p_full[free] = params.delta_eps * (w[m::-1] @ state.e_history[: m + 1, free])
-    if sources.g3 is not None:
-        p_full[free] += operator.solve_mass(g3_m[free])
-
-    state.fields = FieldVectors(e=e_full, p=p_full, h=h_new)
+    state.fields = FieldVectors(e=e_full, p=np.zeros(ops.mesh.n_edges), h=h_new)
     state.n = m
+    _close_level(state, ops, params, operator, sources)
     return state
 
 
-def _cached_load(cache: dict, tag: str, t: float, build: Callable[[], np.ndarray]) -> np.ndarray:
-    key = (tag, round(t, 14))
-    if key not in cache:
-        cache[key] = build()
-        # keep the two newest time levels per tag
-        stale = sorted(k for k in cache if k[0] == tag)[:-2]
-        for k in stale:
-            del cache[k]
-    return cache[key]
+def _close_level(
+    state: StepperState,
+    ops: AssembledOperators,
+    params: HNParams,
+    operator: StepOperator,
+    sources: SourceLoads,
+) -> None:
+    """Store M_E e^n and ||E^n||^2 of the current level, then recover P^n from
+    the constitutive relation."""
+    n = state.n
+    free = ops.free_edges
+    e = state.fields.e
+    me = ops.m_e_full @ e
+    state.me_free_history[n] = me[free]
+    state.e_norm_sq_history[n] = e @ me
+    w_rev = state.weights.weights[n::-1].copy()  # contiguous, so the product runs in BLAS
+    p_rhs = params.delta_eps * (w_rev @ state.me_free_history[: n + 1])
+    if sources.g3 is not None:
+        p_rhs += sources.g3(state.t)
+    state.fields.p[free] = operator.solve_mass(p_rhs)
 
 
 @dataclass(frozen=True)
@@ -374,9 +383,10 @@ def energy(state: StepperState, ops: AssembledOperators, params: HNParams) -> fl
 
 # --- manufactured solution -------------------------------------------------
 #
-# E = t^3 * Ehat,  P = (1 - e^-t) * Phat,  H = e^-t (x^3+1)(y^3+1)  with
+# E = t^3 * Ehat,  P = (1 - e^-t) * Phat,  H = e^-t * Hhat  with
 # Ehat = ((x^2+1) sin(pi y), sin(pi x)(y - 1/2)),
-# Phat = ((x^2+1) y(y-1),    x(x-1)(y - 1/2)).
+# Phat = ((x^2+1) y(y-1),    x(x-1)(y - 1/2)),
+# Hhat = (x^3+1)(y^3+1).
 # All fields have vanishing tangential trace on the unit square.
 
 
@@ -386,6 +396,19 @@ def _e_hat(x, y):
 
 def _p_hat(x, y):
     return (x**2 + 1.0) * y * (y - 1.0), x * (x - 1.0) * (y - 0.5)
+
+
+def _h_hat(x, y):
+    return (x**3 + 1.0) * (y**3 + 1.0)
+
+
+def _curl_e_hat(x, y):
+    return np.pi * (np.cos(np.pi * x) * (y - 0.5) - (x**2 + 1.0) * np.cos(np.pi * y))
+
+
+def _p_hat_minus_curl_h_hat(x, y):
+    px, py = _p_hat(x, y)
+    return px - 3.0 * y**2 * (x**3 + 1.0), py + 3.0 * x**2 * (y**3 + 1.0)
 
 
 def exact_E(x, y, t):
@@ -400,7 +423,7 @@ def exact_P(x, y, t):
 
 
 def exact_H(x, y, t):
-    return math.exp(-t) * (x**3 + 1.0) * (y**3 + 1.0)
+    return math.exp(-t) * _h_hat(x, y)
 
 
 def decay_initial_E(x, y, t=0.0):
@@ -408,51 +431,51 @@ def decay_initial_E(x, y, t=0.0):
 
 
 def decay_initial_H(x, y, t=0.0):
-    return (x**3 + 1.0) * (y**3 + 1.0)
+    return _h_hat(x, y)
 
 
 def manufactured_sources(params: HNParams) -> SourceSet:
     """Sources that make the manufactured fields solve the dispersive system.
 
-    g1 = eps_inf dE/dt + dP/dt - curl H,  g2 = dH/dt + curl E, and
-    g3 = P - delta_eps * (kernel * E), where the kernel convolution of the
-    t^3 time factor has the exact monomial form from
+    g1 = eps_inf dE/dt + dP/dt - curl H,  g2 = dH/dt + curl E  and
+    g3 = P - delta_eps * (kernel * E), two separable terms each.  The kernel
+    convolution of the t^3 time factor of E has the exact monomial form of
     :func:`hnmaxwell.prabhakar.prabhakar_integral_monomial`.
     """
     eps_inf, delta_eps = params.eps_inf, params.delta_eps
     alpha, beta = params.alpha, params.beta
-    conv_cache: dict[float, float] = {}
-
-    def conv_t3(t: float) -> float:
-        if t not in conv_cache:
-            conv_cache[t] = prabhakar_integral_monomial(alpha, beta, 3, t)
-        return conv_cache[t]
-
-    def g1(x, y, t):
-        ex, ey = _e_hat(x, y)
-        px, py = _p_hat(x, y)
-        decay = math.exp(-t)
-        curl_h_x = decay * 3.0 * y**2 * (x**3 + 1.0)
-        curl_h_y = -decay * 3.0 * x**2 * (y**3 + 1.0)
-        gx = eps_inf * 3.0 * t**2 * ex + decay * px - curl_h_x
-        gy = eps_inf * 3.0 * t**2 * ey + decay * py - curl_h_y
-        return gx, gy
-
-    def g2(x, y, t):
-        curl_e = t**3 * np.pi * (np.cos(np.pi * x) * (y - 0.5) - (x**2 + 1.0) * np.cos(np.pi * y))
-        return -math.exp(-t) * (x**3 + 1.0) * (y**3 + 1.0) + curl_e
-
-    def g3(x, y, t):
-        ex, ey = _e_hat(x, y)
-        px, py = _p_hat(x, y)
-        f = 1.0 - math.exp(-t)
-        conv = delta_eps * conv_t3(t)
-        return f * px - conv * ex, f * py - conv * ey
-
-    return SourceSet(g1=g1, g2=g2, g3=g3)
+    decay = lambda t: math.exp(-t)
+    minus_conv = lambda t: -delta_eps * prabhakar_integral_monomial(alpha, beta, 3, t)
+    return SourceSet(
+        g1=Separable(((lambda t: eps_inf * 3.0 * t**2, _e_hat), (decay, _p_hat_minus_curl_h_hat))),
+        g2=Separable(((lambda t: -decay(t), _h_hat), (lambda t: t**3, _curl_e_hat))),
+        g3=Separable(((lambda t: 1.0 - decay(t), _p_hat), (minus_conv, _e_hat))),
+    )
 
 
 # --- experiment drivers ------------------------------------------------------
+
+
+def _integrate(
+    ops: AssembledOperators,
+    params: HNParams,
+    tau: float,
+    t_final: float,
+    scheme: str,
+    initial: tuple[Callable, Callable],
+    sources: SourceLoads,
+    observe: Callable[[StepperState], None],
+) -> None:
+    """Run the scheme from the interpolants of the ``initial`` (E, H) fields,
+    calling ``observe(state)`` at level 0 and after every step."""
+    n_steps = _step_count(t_final, tau)
+    weights = generate_weights(scheme, params.alpha, params.beta, tau, n_steps)
+    operator = StepOperator(ops, params, tau, weights.weights[0])
+    e0, h0 = interpolate_E(ops.mesh, initial[0], 0.0), interpolate_H(ops.mesh, initial[1], 0.0)
+    state = init_state(ops, params, weights, e0, h0, n_steps, operator, sources)
+    observe(state)
+    for _ in range(n_steps):
+        observe(step(state, ops, params, operator, sources))
 
 
 def run_energy(
@@ -465,32 +488,18 @@ def run_energy(
 ) -> EnergyTrace:
     """Zero-source evolution from the standing initial data; returns the
     per-level discrete energy decomposition."""
-    n_steps = _step_count(t_final, tau)
     if ops is None:
         ops = assemble(mesh)
-    weights = generate_weights(scheme, params.alpha, params.beta, tau, n_steps)
-    operator = make_step_operator(ops, params, tau, weights.weights[0])
-    state = init_state(
-        ops,
-        params,
-        weights,
-        interpolate_E(mesh, decay_initial_E),
-        interpolate_H(mesh, decay_initial_H),
-        n_steps,
-    )
-    totals = np.zeros(n_steps + 1)
-    comps = np.zeros((n_steps + 1, 3))
-    comps[0] = energy_components(state, ops, params)
-    totals[0] = comps[0].sum()
-    for m in range(1, n_steps + 1):
-        step(state, ops, params, operator=operator)
-        comps[m] = energy_components(state, ops, params)
-        totals[m] = comps[m].sum()
-    levels = np.arange(n_steps + 1)
+    comps = []
+    record = lambda state: comps.append(energy_components(state, ops, params))
+    initial = (decay_initial_E, decay_initial_H)
+    _integrate(ops, params, tau, t_final, scheme, initial, SourceLoads(), record)
+    comps = np.array(comps)
+    levels = np.arange(len(comps))
     return EnergyTrace(
         n=levels,
         t=levels * tau,
-        total=totals,
+        total=comps.sum(axis=1),
         term_e=comps[:, 0],
         term_h=comps[:, 1],
         term_hist=comps[:, 2],
@@ -544,7 +553,19 @@ def run_convergence(
         raise ValueError(f"mode must be 'vs_exact' or 'vs_reference', got {mode!r}")
     if ops is None:
         ops = assemble(mesh)
-    sources = manufactured_sources(params)
+    sources = manufactured_sources(params).assemble(ops)
+
+    def trajectory(tau: float, keep_every: int) -> dict[int, tuple[np.ndarray, ...]]:
+        """{kept level -> (e, h, p)} snapshots of one run."""
+        kept = {}
+
+        def keep(state: StepperState) -> None:
+            if state.n % keep_every == 0:
+                fields = state.fields
+                kept[state.n // keep_every] = (fields.e.copy(), fields.h.copy(), fields.p.copy())
+
+        _integrate(ops, params, tau, t_final, scheme, (exact_E, exact_H), sources, keep)
+        return kept
 
     reference = None
     tau_keep = None
@@ -556,13 +577,11 @@ def run_convergence(
             raise ValueError(f"tau_ref={tau_ref} must divide the smallest tau={min(taus)}")
         # reference snapshots are kept at multiples of the smallest tau
         tau_keep = min(taus)
-        reference = _run_trajectory(
-            ops, params, sources, tau_ref, t_final, scheme, keep_every=round(stride)
-        )
+        reference = trajectory(tau_ref, keep_every=round(stride))
 
     errs = {"e": [], "h": [], "p": []}
     for tau in taus:
-        traj = _run_trajectory(ops, params, sources, tau, t_final, scheme, keep_every=1)
+        traj = trajectory(tau, keep_every=1)
         if mode == "vs_exact":
             e_err = max(
                 l2_error(mesh, e, exact_E, n * tau, "edge") for n, (e, _, _) in traj.items()
@@ -599,43 +618,6 @@ def run_convergence(
         mode=mode,
         tau_ref=tau_ref,
     )
-
-
-def _run_trajectory(
-    ops: AssembledOperators,
-    params: HNParams,
-    sources: SourceSet,
-    tau: float,
-    t_final: float,
-    scheme: str,
-    keep_every: int,
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the scheme and return {kept level -> (e, h, p)} snapshots."""
-    mesh = ops.mesh
-    n_steps = _step_count(t_final, tau)
-    weights = generate_weights(scheme, params.alpha, params.beta, tau, n_steps)
-    operator = make_step_operator(ops, params, tau, weights.weights[0])
-    state = init_state(
-        ops,
-        params,
-        weights,
-        interpolate_E(mesh, exact_E, 0.0),
-        interpolate_H(mesh, exact_H, 0.0),
-        n_steps,
-        sources=sources,
-        operator=operator,
-    )
-    cache: dict = {}
-    kept = {0: _snapshot(state)}
-    for m in range(1, n_steps + 1):
-        step(state, ops, params, sources, operator=operator, _load_cache=cache)
-        if m % keep_every == 0:
-            kept[m // keep_every] = _snapshot(state)
-    return kept
-
-
-def _snapshot(state: StepperState):
-    return state.fields.e.copy(), state.fields.h.copy(), state.fields.p.copy()
 
 
 def _step_count(t_final: float, tau: float) -> int:

@@ -79,6 +79,16 @@ def test_kernel_csv(tmp_path):
         assert float(row[1]) == pytest.approx(hn_kernel(0.4, 0.9, float(row[0])), rel=1e-15)
 
 
+def test_kernel_cancellation_exits_2(tmp_path, capsys):
+    # t = 100 is far outside the series' accurate range: refuse, write nothing
+    assert main([
+        "kernel", "--alpha", "0.5", "--beta", "0.5", "--tmax", "100", "--out", str(tmp_path),
+    ]) == 2
+    assert not (tmp_path / "kernel.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("hnmx: ") and err.count("\n") == 1
+
+
 def test_convergence_csv(tmp_path):
     assert main([
         "convergence", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.25,0.125",

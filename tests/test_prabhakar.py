@@ -73,6 +73,13 @@ class TestMl3:
             ml3(PrabhakarParams(0.1, 0.5, 0.9), 50.0)
         assert exc.value.last_term > 0.0
 
+    @pytest.mark.parametrize("alpha,beta,t", [(0.9, 0.5, 30.0), (0.5, 0.5, 100.0)])
+    def test_cancellation_refused(self, alpha, beta, t):
+        # the alternating series cancels to garbage here (hn_kernel would
+        # return -2.6e-3 and 7.7e27); it must raise instead
+        with pytest.raises(SeriesConvergenceError):
+            hn_kernel(alpha, beta, t)
+
 
 class TestHnKernel:
     def test_debye_limit(self):

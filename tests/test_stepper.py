@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnmaxwell.fem import (
     assemble,
@@ -19,6 +21,7 @@ from hnmaxwell.quadrature import cm2_weights
 from hnmaxwell.stepper import (
     HNParams,
     SourceSet,
+    StepOperator,
     decay_initial_E,
     decay_initial_H,
     energy,
@@ -27,7 +30,6 @@ from hnmaxwell.stepper import (
     exact_H,
     exact_P,
     init_state,
-    make_step_operator,
     manufactured_sources,
     observed_rates,
     run_convergence,
@@ -48,13 +50,13 @@ def default_params(**kw):
 class TestStepOperator:
     def test_matrix_symmetric(self):
         ops = assemble(build_mesh(8, 8))
-        op = make_step_operator(ops, default_params(), 0.1, 0.5)
+        op = StepOperator(ops, default_params(), 0.1, 0.5)
         diff = (op.matrix - op.matrix.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-14
 
     def test_solver_residual(self):
         ops = assemble(build_mesh(32, 32))
-        op = make_step_operator(ops, default_params(), 0.05, 0.3)
+        op = StepOperator(ops, default_params(), 0.05, 0.3)
         rng = np.random.default_rng(0)
         b = rng.normal(size=op.matrix.shape[0])
         x = op.solve(b)
@@ -63,13 +65,13 @@ class TestStepOperator:
     def test_empty_interior_mesh(self):
         # 1x1 mesh: every edge dof constrained, the solve is trivial
         ops = assemble(build_mesh(1, 1))
-        op = make_step_operator(ops, default_params(), 0.1, 0.5)
+        op = StepOperator(ops, default_params(), 0.1, 0.5)
         assert op.solve(np.zeros(0)).size == 0
 
     def test_positive_leading_weight_required(self):
         ops = assemble(build_mesh(2, 2))
         with pytest.raises(ValueError):
-            make_step_operator(ops, default_params(), 0.1, 0.0)
+            StepOperator(ops, default_params(), 0.1, 0.0)
 
 
 class TestStepBasics:
@@ -78,8 +80,8 @@ class TestStepBasics:
         ops = assemble(mesh)
         params = default_params()
         w = cm2_weights(0.5, 0.5, 0.1, 5)
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 5)
-        op = make_step_operator(ops, params, 0.1, w.weights[0])
+        op = StepOperator(ops, params, 0.1, w.weights[0])
+        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 5, op)
         for _ in range(5):
             step(state, ops, params, operator=op)
         assert np.array_equal(state.fields.e, np.zeros(mesh.n_edges))
@@ -91,8 +93,8 @@ class TestStepBasics:
         ops = assemble(mesh)
         params = default_params()
         w = cm2_weights(0.5, 0.5, 0.25, 4)
-        state = init_state(ops, params, w, np.zeros(4), np.ones(1), 4)
-        op = make_step_operator(ops, params, 0.25, w.weights[0])
+        op = StepOperator(ops, params, 0.25, w.weights[0])
+        state = init_state(ops, params, w, np.zeros(4), np.ones(1), 4, op)
         for _ in range(4):
             step(state, ops, params, operator=op)
         # no interior E dofs: H cannot change
@@ -103,8 +105,8 @@ class TestStepBasics:
         ops = assemble(mesh)
         params = default_params()
         w = cm2_weights(0.5, 0.5, 0.5, 2)
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 2)
-        op = make_step_operator(ops, params, 0.5, w.weights[0])
+        op = StepOperator(ops, params, 0.5, w.weights[0])
+        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 2, op)
         step(state, ops, params, operator=op)
         step(state, ops, params, operator=op)
         with pytest.raises(ValueError):
@@ -115,6 +117,7 @@ class TestStepBasics:
         ops = assemble(mesh)
         params = default_params(alpha=0.3, beta=0.9)
         w = cm2_weights(0.3, 0.9, 0.1, 10)
+        op = StepOperator(ops, params, 0.1, w.weights[0])
         state = init_state(
             ops,
             params,
@@ -122,8 +125,8 @@ class TestStepBasics:
             interpolate_E(mesh, decay_initial_E),
             interpolate_H(mesh, decay_initial_H),
             10,
+            op,
         )
-        op = make_step_operator(ops, params, 0.1, w.weights[0])
         for _ in range(10):
             step(state, ops, params, operator=op)
             assert np.array_equal(state.fields.e[mesh.boundary_edges], np.zeros(24))
@@ -138,8 +141,8 @@ class TestStepBasics:
         runs = []
         for scale in (1.0, 2.0):
             w = cm2_weights(0.7, 0.4, 0.1, 10)
-            state = init_state(ops, params, w, scale * e0, scale * h0, 10)
-            op = make_step_operator(ops, params, 0.1, w.weights[0])
+            op = StepOperator(ops, params, 0.1, w.weights[0])
+            state = init_state(ops, params, w, scale * e0, scale * h0, 10, op)
             for _ in range(10):
                 step(state, ops, params, operator=op)
             runs.append(state.fields)
@@ -154,7 +157,8 @@ class TestEnergy:
         ops = assemble(mesh)
         params = default_params()
         w = cm2_weights(0.5, 0.5, 0.1, 2)
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 2)
+        op = StepOperator(ops, params, 0.1, w.weights[0])
+        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 2, op)
         assert energy(state, ops, params) == 0.0
 
     def test_level_zero_formula(self):
@@ -164,7 +168,7 @@ class TestEnergy:
         w = cm2_weights(0.5, 0.5, 0.1, 3)
         e0 = interpolate_E(mesh, decay_initial_E)
         h0 = interpolate_H(mesh, decay_initial_H)
-        state = init_state(ops, params, w, e0, h0, 3)
+        state = init_state(ops, params, w, e0, h0, 3, StepOperator(ops, params, 0.1, w.weights[0]))
         e0c = e0.copy()
         e0c[mesh.boundary_edges] = 0.0
         ee = e0c @ (ops.m_e_full @ e0c)
@@ -180,6 +184,37 @@ class TestEnergy:
             assert ((tr.total[1:] - tr.total[:-1]) <= 1e-10 * tr.total[0]).all()
             assert (tr.term_e >= 0).all() and (tr.term_h >= 0).all() and (tr.term_hist >= 0).all()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the energy functional rises when E flips sign between steps: its step change "
+        "is -delta_eps*w_1*(E^1, E^0) at m = 1, positive for rough data and large tau "
+        "(1x2 mesh, tau = 1, random fields: +7.5% of E^0)",
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        nx=st.integers(1, 8),
+        ny=st.integers(1, 8),
+        tau=st.floats(1e-3, 2.0),
+        alpha=st.floats(0.05, 0.95),
+        beta=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decay_random_data(self, nx, ny, tau, alpha, beta, seed):
+        # zero sources: no rise beyond roundoff for any step size and initial fields
+        mesh = build_mesh(nx, ny)
+        ops = assemble(mesh)
+        params = default_params(alpha=alpha, beta=beta)
+        n_steps = 8
+        w = cm2_weights(alpha, beta, tau, n_steps)
+        op = StepOperator(ops, params, tau, w.weights[0])
+        rng = np.random.default_rng(seed)
+        e0, h0 = rng.normal(size=mesh.n_edges), rng.normal(size=mesh.n_cells)
+        state = init_state(ops, params, w, e0, h0, n_steps, op)
+        totals = [energy(state, ops, params)]
+        for _ in range(n_steps):
+            totals.append(energy(step(state, ops, params, op), ops, params))
+        assert (np.diff(totals) <= 1e-10 * totals[0]).all()
+
     def test_crank_nicolson_conservation(self):
         # delta_eps = 0 removes dispersion; midpoint scheme conserves energy
         mesh = build_mesh(8, 8)
@@ -193,6 +228,7 @@ class TestEnergy:
         params = default_params(alpha=0.4, beta=0.8)
         n_steps = 12
         w = cm2_weights(0.4, 0.8, 0.05, n_steps)
+        op = StepOperator(ops, params, 0.05, w.weights[0])
         state = init_state(
             ops,
             params,
@@ -200,18 +236,19 @@ class TestEnergy:
             interpolate_E(mesh, decay_initial_E),
             interpolate_H(mesh, decay_initial_H),
             n_steps,
+            op,
         )
-        op = make_step_operator(ops, params, 0.05, w.weights[0])
+        levels = [state.fields.e.copy()]
         for _ in range(n_steps):
             step(state, ops, params, operator=op)
-        # from-scratch convolution of the stored E levels
+            levels.append(state.fields.e.copy())
+        # from-scratch convolution of the E levels seen while stepping
         conv = sum(
-            w.weights[n_steps - k] * (ops.m_e_full @ state.e_history[k])
-            for k in range(n_steps + 1)
+            w.weights[n_steps - k] * (ops.m_e_full @ levels[k]) for k in range(n_steps + 1)
         )
         assert np.allclose(params.delta_eps * conv, ops.m_e_full @ state.fields.p, rtol=1e-12, atol=1e-15)
         hist = sum(
-            w.weights[n_steps - k] * state.e_history[k] @ (ops.m_e_full @ state.e_history[k])
+            w.weights[n_steps - k] * levels[k] @ (ops.m_e_full @ levels[k])
             for k in range(n_steps + 1)
         )
         _, _, term_hist = energy_components(state, ops, params)
@@ -245,6 +282,21 @@ class TestManufacturedSources:
         px, py = (x**2 + 1) * y * (y - 1), x * (x - 1) * (y - 0.5)
         assert gx[0] == pytest.approx(px[0] - 3 * y[0] ** 2 * (x[0] ** 3 + 1), rel=1e-14)
         assert gy[0] == pytest.approx(py[0] + 3 * x[0] ** 2 * (y[0] ** 3 + 1), rel=1e-14)
+
+    def test_assembled_loads_match_pointwise_sum(self):
+        mesh = build_mesh(7, 5)
+        ops = assemble(mesh)
+        src = manufactured_sources(default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8))
+        loads = src.assemble(ops)
+        free = ops.free_edges
+        for t in np.random.default_rng(3).uniform(0.0, 2.0, size=4):
+            t = float(t)
+            for got, want in (
+                (loads.g1(t), assemble_edge_load(mesh, src.g1, t)[free]),
+                (loads.g2(t), assemble_cell_load(mesh, src.g2, t)),
+                (loads.g3(t), assemble_edge_load(mesh, src.g3, t)[free]),
+            ):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_zero_source_set(self):
         assert SourceSet.zero().is_zero
