@@ -3,8 +3,8 @@
 
 A weight sequence is completely monotonic when every alternating forward
 difference (I - S)^k w_j is nonnegative.  That discrete shape mirrors the
-complete monotonicity of the H-N kernel itself and is exactly what makes
-the Maxwell stepper's energy decay unconditionally.
+complete monotonicity of the H-N kernel itself and is what the energy
+decay of the Maxwell stepper rests on.
 
 The second-order weights built here keep the property; standard BDF-2
 convolution quadrature, although also second-order accurate, does not: its

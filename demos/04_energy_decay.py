@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Unconditional discrete energy decay of the dispersive Maxwell stepper.
+"""Discrete energy decay of the dispersive Maxwell stepper.
 
 The stepper couples midpoint (Crank-Nicolson) updates of E and H with the
 completely monotone discrete convolution closing P.  Its discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps sum_{k<=n} w_{n-k} ||E^k||^2
 
-never increases, for any step size, because (and only because) the weights
-are completely monotonic.  Runs below start from a standing field with zero
-sources and report the energy decay across fractional orders, including a
+is nonincreasing for any step size on the smooth standing data used here
+(zero sources, E^0 and H^0 interpolating the standing fields).  For
+arbitrary data it is not: its change over the first step is
+-delta_eps * w_1 * (E^1, E^0), positive whenever E changes sign across the
+step (rough fields, large tau).  Runs below start from the standing field
+and report the energy decay across fractional orders, including a
 deliberately huge step.
 """
 
@@ -37,11 +40,11 @@ for beta in (0.1, 0.4, 0.7, 1.0):
 print()
 print("Smaller alpha or beta = heavier fading memory = faster dissipation.")
 print()
-print("Unconditional stability: the same run with tau = 0.5 (two steps)")
+print("A huge step on the same smooth data: tau = 0.5 (two steps)")
 params = HNParams(eps_inf=1.0, delta_eps=1.0, alpha=0.5, beta=0.5)
 tr = run_energy(mesh, params, tau=0.5, t_final=1.0, ops=ops)
 print("  energies:", np.array2string(tr.total, precision=6))
-print("  still monotonically decaying; no step-size restriction exists.")
+print("  still monotonically decaying on this data.")
 print()
 print("With dispersion switched off (delta_eps = 0) the scheme is plain")
 print("Crank-Nicolson Maxwell and conserves its energy to machine precision:")

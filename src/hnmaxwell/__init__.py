@@ -24,9 +24,12 @@ from .prabhakar import (
 from .quadrature import (
     CM2Constants,
     CQWeights,
+    ExpSum,
+    NotCompletelyMonotoneError,
     bdf_cq_weights,
     cm2_weights,
     delta_consistency_residual,
+    fit_exp_sum,
     generate_weights,
 )
 from .series import TruncatedSeries, binom_series, series_mul, series_pow

@@ -30,7 +30,7 @@ from . import checks
 from .fem import assemble, build_mesh
 from .monotonicity import default_grid, indicator_rho, sweep_grid
 from .prabhakar import SeriesConvergenceError, hn_kernel
-from .quadrature import SCHEMES, generate_weights
+from .quadrature import SCHEMES, NotCompletelyMonotoneError, generate_weights
 from .stepper import HNParams, run_convergence, run_energy
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run(cfg)
-    except SeriesConvergenceError as exc:
+    except (SeriesConvergenceError, NotCompletelyMonotoneError) as exc:
         print(f"hnmx: {exc}", file=sys.stderr)
         return 2
 

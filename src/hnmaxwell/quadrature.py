@@ -18,20 +18,31 @@ Two families are provided:
 
 Coefficients are extracted by truncated-series composition (Miller
 recurrence); an independent FFT/Cauchy-integral oracle lives in the tests.
+
+``fit_exp_sum`` compresses a table into a positive exponential sum
+w_hat_j = sum_l c_l r_l^j (c_l > 0, 0 < r_l < 1).  Such a sum is a Hausdorff
+moment sequence, hence completely monotone by construction; the fit refuses
+(:class:`NotCompletelyMonotoneError`) when it misses the table by more than
+``FIT_TOL`` relative, which is what happens to tables that are not CM.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .series import TruncatedSeries, binom_series, series_mul, series_pow
 
 __all__ = [
     "CQWeights",
+    "ExpSum",
+    "NotCompletelyMonotoneError",
+    "FIT_TOL",
+    "fit_exp_sum",
     "CM2Constants",
     "cm2_weights",
     "bdf_cq_weights",
@@ -40,6 +51,14 @@ __all__ = [
 ]
 
 SCHEMES = ("cm2", "bdf1", "bdf2")
+
+# Largest relative miss max_j |w_hat_j / w_j - 1| a fitted exponential sum may have.
+FIT_TOL = 1e-8
+# Candidate rates of the fit: _LOG_RATES rates e^{-s}, s log-spaced on
+# [1e-2/N, 400], plus _CLUSTER_OFFSETS relative offsets on each side of every
+# singular rate (see _candidate_rates).
+_LOG_RATES = 140
+_CLUSTER_OFFSETS = 16
 
 
 @dataclass(frozen=True)
@@ -65,6 +84,55 @@ class CQWeights:
     @property
     def order(self) -> int:
         return self.weights.size - 1
+
+
+class NotCompletelyMonotoneError(ValueError):
+    """No positive exponential sum matches a weight table to ``FIT_TOL``."""
+
+
+@dataclass(frozen=True)
+class ExpSum:
+    """Positive exponential sum w_hat_j = sum_l coeffs[l] * rates[l]**j that
+    matches a weight table of step ``tau`` for j <= ``order`` to the relative
+    ``miss``; every coefficient is positive and every rate lies in (0, 1)."""
+
+    tau: float
+    order: int
+    coeffs: np.ndarray
+    rates: np.ndarray
+    miss: float
+
+    @property
+    def w0(self) -> float:
+        return float(self.coeffs.sum())
+
+    def weights(self) -> np.ndarray:
+        """The materialized w_hat_0 .. w_hat_order."""
+        return _powers(self.rates, self.order) @ self.coeffs
+
+
+def fit_exp_sum(w: CQWeights) -> ExpSum:
+    """Nonnegative least-squares fit of the relative misfit w_hat_j / w_j - 1
+    over fixed candidate rates; raises NotCompletelyMonotoneError when the
+    largest relative miss over j <= N exceeds ``FIT_TOL``."""
+    table = w.weights
+    label = f"{w.scheme} weights (alpha={w.alpha:g}, beta={w.beta:g}, tau={w.tau:g}, N={w.order})"
+    if not (table > 0.0).all():
+        j = int(np.argmax(table <= 0.0))
+        raise NotCompletelyMonotoneError(
+            f"{label} are not completely monotone: w_{j} = {table[j]:.3e} is not positive"
+        )
+    rates = _candidate_rates(w.scheme, w.alpha, w.tau, w.order)
+    x = _nnls(_powers(rates, w.order) / table[:, None], np.ones(table.size))
+    keep = x > 0.0
+    coeffs, rates = x[keep], rates[keep]
+    miss = float(np.max(np.abs(_powers(rates, w.order) @ coeffs / table - 1.0)))
+    if not miss <= FIT_TOL:
+        raise NotCompletelyMonotoneError(
+            f"{label}: the best positive exponential sum misses them by {miss:.2e} relative, "
+            f"above {FIT_TOL:g}; the table is not completely monotone"
+        )
+    return ExpSum(tau=w.tau, order=w.order, coeffs=coeffs, rates=rates, miss=miss)
 
 
 @dataclass(frozen=True)
@@ -147,3 +215,127 @@ def delta_consistency_residual(alpha: float, tau: float) -> float:
     z = math.exp(-tau)
     r = (1.0 - z) / tau * (consts.c * (1.0 - consts.d * z)) ** ((1.0 - alpha) / alpha)
     return r - 1.0
+
+
+# --- exponential-sum fit ------------------------------------------------------
+
+
+def _powers(rates: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of rates[l] ** j, j = 0..n."""
+    return np.exp(np.outer(np.arange(n + 1), np.log(rates)))
+
+
+def _candidate_rates(scheme: str, alpha: float, tau: float, n: int) -> np.ndarray:
+    """Log-spaced rates plus clusters around the rates 1/z where the
+    measure of the weights is singular or sharply peaked.
+
+    With alpha = 1 the measure ends at the pole 1/z of the generating
+    function, so the log-spaced grid is shifted to start there instead.
+    """
+    s = np.geomspace(1e-2 / max(n, 1), 400.0, _LOG_RATES)
+    points = _singular_points(scheme, alpha, tau)
+    if alpha == 1.0 and points:
+        return np.exp(-math.log(points[0]) - np.concatenate([[0.0], s]))
+    offsets = np.geomspace(1e-2 / max(n, 1), 0.5, _CLUSTER_OFFSETS)
+    spread = np.concatenate([1.0 - offsets, [1.0], 1.0 + offsets])
+    rates = np.concatenate([np.exp(-s)] + [spread / z for z in points])
+    return rates[rates < 1.0]
+
+
+def _singular_points(scheme: str, alpha: float, tau: float) -> list[float]:
+    """The z > 1 where the generating function w(z) = (1 + phi(z))^(-beta)
+    is singular or nearly so: |phi(z)| = 1.
+
+    For cm2 that is the root beyond 1/d, where phi = -1 exactly (a pole for
+    beta = 1, an integrable singularity of the measure otherwise), and the
+    root nearest 1, where phi = e^{i pi alpha} approaches -1 as alpha -> 1.
+    For bdf1 and bdf2 it is the root nearest 1 (a pole when alpha = 1).
+    """
+    if scheme == "bdf1":
+        return [1.0 + tau]
+    if scheme == "bdf2":
+        # |delta(z)| = (z - 1)(3 - z)/2 = tau on (1, 3)
+        return [2.0 - math.sqrt(1.0 - 2.0 * tau)] if tau < 0.5 else []
+    k = CM2Constants.from_alpha(alpha)
+    modulus = lambda z: ((z - 1.0) / tau) ** alpha * (k.c * abs(1.0 - k.d * z)) ** (1.0 - alpha)
+    hi = 2.0 / k.d
+    while modulus(hi) < 1.0:
+        hi *= 2.0
+    points = [_bisect(modulus, 1.0 / k.d, hi)]
+    z_peak = (alpha + (1.0 - alpha) * k.d) / k.d  # maximum of the modulus on (1, 1/d)
+    if modulus(z_peak) > 1.0:
+        points.insert(0, _bisect(modulus, 1.0, z_peak))
+    return points
+
+
+def _bisect(modulus, lo: float, hi: float) -> float:
+    """The z in (lo, hi) where ``modulus`` crosses 1, one end below and one above."""
+    below = modulus(lo) < 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (modulus(mid) < 1.0) == below:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method.
+
+    The columns are scaled to unit norm and the problem is reduced to the
+    triangular factor of [a | b].  The passive columns keep a QR
+    factorization that is updated, not recomputed, as columns enter and
+    leave, and the gradient is formed from the residual's component outside
+    their span: with nearly dependent columns that keeps its relative
+    accuracy, where the plain residual d - R x would drown it in rounding.
+    Returns the current feasible point after 10 n inner iterations.
+    """
+    n = a.shape[1]
+    scale = np.linalg.norm(a, axis=0)
+    raug = np.linalg.qr(np.column_stack([a / scale, b]), mode="r")
+    r, d = raug[:, :n], raug[:, n]
+    x = np.zeros(n)
+    passive: list[int] = []
+    q, rp, z = np.eye(d.size), np.zeros((d.size, 0)), d
+    iterations = 0
+    while iterations < 10 * n:
+        k = len(passive)
+        grad = r.T @ (q[:, k:] @ z[k:])
+        grad[passive] = -np.inf
+        while True:  # entering column: largest gradient among those independent of the passive ones
+            j = int(np.argmax(grad))
+            if grad[j] <= 0.0:
+                return x / scale
+            t = q.T @ r[:, j]
+            unorm = np.linalg.norm(t[:k])
+            if unorm + 0.01 * np.linalg.norm(t[k:]) > unorm and t[k:] @ z[k:] > 0.0:
+                break
+            grad[j] = -np.inf
+        q, rp = sla.qr_insert(q, rp, r[:, j], k, which="col", check_finite=False)
+        z = q.T @ d
+        passive.append(j)
+        while iterations < 10 * n:  # move towards the passive solution until it is positive
+            iterations += 1
+            k = len(passive)
+            s, info = lapack.dtrtrs(rp[:k, :k], z[:k])
+            if info != 0:  # zero pivot: cannot happen, entering columns passed the independence test
+                return x / scale
+            if (s > 0.0).all():
+                x[passive] = s
+                break
+            xp = x[passive]
+            step = xp - s
+            ratio = np.divide(xp, step, out=np.zeros(k), where=step > 0.0)
+            blocking = np.flatnonzero(s <= 0.0)
+            first = blocking[np.argmin(ratio[blocking])]
+            xp += ratio[first] * (s - xp)
+            xp[first] = 0.0
+            x[passive] = xp
+            for i in np.flatnonzero(xp <= 0.0)[::-1]:
+                x[passive.pop(i)] = 0.0
+                q, rp = sla.qr_delete(q, rp, i, which="col", check_finite=False)
+            z = q.T @ d
+    return x / scale

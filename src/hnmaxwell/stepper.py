@@ -4,31 +4,38 @@ medium.
 The fields advance with midpoint (Crank-Nicolson) differencing in E and H
 while the polarization P is closed by the discrete convolution
 
-    (P^n, phi) = delta_eps * sum_{k=0}^n w_{n-k} (E^k, phi) + (g3(t_n), phi),
+    (P^n, phi) = delta_eps * sum_{k=0}^n w_{n-k} (E^k, phi) + (g3(t_n), phi).
 
-with quadrature weights w from :mod:`hnmaxwell.quadrature`.  Eliminating H
-and P from the step leaves one symmetric positive definite solve per step,
+The weights are a positive exponential sum w_j = sum_l c_l r_l^j (c_l > 0,
+0 < r_l < 1) fitted once per trajectory to the quadrature table of
+:mod:`hnmaxwell.quadrature`, which refuses tables that are not completely
+monotone.  The memory is then L accumulators instead of the whole history:
+A_l = sum_k r_l^{n-k} e^k on the free edge dofs and B_l = sum_k r_l^{n-k}
+||E^k||^2, each updated by A_l <- r_l A_l + e^n per level, so a step costs
+O(L * dofs) whatever n is.  Eliminating H and P from the step leaves one
+symmetric positive definite solve per step,
 
     A e^m = rhs,   A = ((eps_inf + delta_eps*w0)/tau) M_E + (tau/4) C^T M_H^{-1} C,
 
-after which H follows explicitly.  The only E history kept is M_E e^k on the
-free edge dofs (plus ||E^k||^2); it feeds the memory term of rhs, and P is
-recovered from the relation above with one mass solve.  With completely
-monotonic weights and zero sources the discrete energy
+with w0 = sum_l c_l and the memory term M_E sum_l c_l (r_l - 1) A_l in rhs;
+H then follows explicitly and P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n)
+needs no solve.  With zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
 
-is nonincreasing for any step size on the smooth standing data of the energy
-checks.  The level-0 polarization is taken from the n = 0 convolution
-relation (it vanishes whenever E^0 = 0 and g3(0) = 0), which is what makes
-the decay inequality hold already at the first step.  For arbitrary data it
-does not hold: the step change at m = 1 is -delta_eps * w_1 * (E^1, E^0),
-positive whenever E changes sign across the step (rough fields, large tau).
+(its memory part is delta_eps sum_l c_l B_l) is nonincreasing for any step
+size on the smooth standing data of the energy checks.  The level-0
+polarization is taken from the n = 0 convolution relation (it vanishes
+whenever E^0 = 0 and g3(0) = 0), which is what makes the decay inequality
+hold already at the first step.  For arbitrary data it does not hold: the
+step change at m = 1 is -delta_eps * w_1 * (E^1, E^0), positive whenever E
+changes sign across the step (rough fields, large tau).
 
 Each source g1 (Ampere), g2 (Faraday) and g3 is separable, sum_i f_i(t) s_i(x, y);
 :meth:`SourceSet.assemble` turns every s_i into a load vector L_i once, and a
 step forms G(t) = sum_i f_i(t) L_i.  g1 and g2 enter as endpoint averages
-(G(t_m) + G(t_{m-1}))/2; g3 enters at t_m.
+(G(t_m) + G(t_{m-1}))/2; g3 enters at t_m, and M_E^{-1} L_i of its loads is
+formed once per trajectory for the polarization.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .fem import (
     l2_error,
 )
 from .prabhakar import prabhakar_integral_monomial
-from .quadrature import CQWeights, generate_weights
+from .quadrature import ExpSum, fit_exp_sum, generate_weights
 
 __all__ = [
     "HNParams",
@@ -200,8 +207,8 @@ class StepOperator:
             + 0.25 * tau * self.curlcurl
         ).tocsc()
         empty = self.matrix.shape[0] == 0
-        self._lu = None if empty else spla.splu(self.matrix)
-        self._mass_lu = None if empty else spla.splu(ops.m_e.tocsc())
+        self._lu = None if empty else _spd_lu(self.matrix)
+        self._mass_lu = None if empty else _spd_lu(ops.m_e.tocsc())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the step system, with one refinement sweep if needed."""
@@ -228,22 +235,39 @@ class StepOperator:
         return float(np.linalg.norm(self.matrix @ x - rhs) / scale)
 
 
+def _spd_lu(matrix: sp.csc_matrix):
+    """SuperLU factorization in symmetric mode, for an SPD matrix."""
+    return spla.splu(
+        matrix,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 @dataclass
 class StepperState:
-    """Mutable run state: fields at level n plus the E history.
+    """Mutable run state: fields at level n plus the memory accumulators.
 
-    Row k of ``me_free_history`` holds M_E e^k on the free edge dofs and
-    entry k of ``e_norm_sq_history`` holds ||E^k||^2; rows 0..n are valid.
-    The convolution, P and the energy are always formed from the stored rows
-    and the weight table, never incrementally drifted.
+    Row l of ``acc_e`` holds A_l = sum_{k<=n} r_l^{n-k} e^k on the free edge
+    dofs, entry l of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2,
+    and ``e_norm_sq`` is ||E^n||^2.  Every update multiplies the old sum by
+    r_l < 1, so rounding errors made at earlier levels are damped, not grown.
+    ``p_source`` is M_E^{-1} of the g3 loads (None without g3).  The fit holds
+    for levels up to ``memory.order``, which bounds the run.
     """
 
-    tau: float
-    weights: CQWeights
+    memory: ExpSum
     n: int
     fields: FieldVectors
-    me_free_history: np.ndarray
-    e_norm_sq_history: np.ndarray
+    acc_e: np.ndarray
+    acc_norm_sq: np.ndarray
+    e_norm_sq: float = 0.0
+    p_source: AssembledSource | None = None
+
+    @property
+    def tau(self) -> float:
+        return self.memory.tau
 
     @property
     def t(self) -> float:
@@ -251,34 +275,35 @@ class StepperState:
 
     @property
     def capacity(self) -> int:
-        return self.e_norm_sq_history.size - 1
+        return self.memory.order
 
 
 def init_state(
     ops: AssembledOperators,
     params: HNParams,
-    weights: CQWeights,
+    memory: ExpSum,
     e0: np.ndarray,
     h0: np.ndarray,
-    n_steps: int,
     operator: StepOperator,
     sources: SourceLoads = SourceLoads(),
 ) -> StepperState:
     """Set up level 0: interpolated E/H and the convolution-consistent P."""
     mesh = ops.mesh
-    if weights.order < n_steps:
-        raise ValueError(f"need at least {n_steps + 1} weights, got {weights.order + 1}")
     e0 = np.asarray(e0, dtype=float).copy()
     e0[mesh.boundary_edges] = 0.0
+    p_source = None
+    if sources.g3 is not None:
+        p_loads = np.array([operator.solve_mass(load) for load in sources.g3.loads])
+        p_source = AssembledSource(sources.g3.factors, p_loads)
     state = StepperState(
-        tau=weights.tau,
-        weights=weights,
+        memory=memory,
         n=0,
         fields=FieldVectors(e=e0, p=np.zeros(mesh.n_edges), h=np.asarray(h0, dtype=float).copy()),
-        me_free_history=np.zeros((n_steps + 1, ops.free_edges.size)),
-        e_norm_sq_history=np.zeros(n_steps + 1),
+        acc_e=np.zeros((memory.rates.size, ops.free_edges.size)),
+        acc_norm_sq=np.zeros(memory.rates.size),
+        p_source=p_source,
     )
-    _close_level(state, ops, params, operator, sources)
+    _close_level(state, ops, params)
     return state
 
 
@@ -294,17 +319,16 @@ def step(
     if m > state.capacity:
         raise ValueError(f"state capacity {state.capacity} exhausted at step {m}")
     tau = state.tau
-    w = state.weights.weights
+    mem = state.memory
     free = ops.free_edges
     t_m, t_prev = m * tau, (m - 1) * tau
     e_prev_free = state.fields.e[free]
     h_prev = state.fields.h
 
-    rhs = (params.eps_inf / tau) * state.me_free_history[m - 1]
-    # history increment of the discrete convolution: sum_{k<m} (w_{m-k} - w_{m-1-k}) M_E e^k
-    if params.delta_eps != 0.0:
-        dw = w[m:0:-1] - w[m - 1 :: -1]  # (w_{m-k} - w_{m-1-k}) for k = 0..m-1
-        rhs -= (params.delta_eps / tau) * (dw @ state.me_free_history[:m])
+    # history increment of the discrete convolution:
+    # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l
+    increment = (mem.coeffs * (mem.rates - 1.0)) @ state.acc_e
+    rhs = ops.m_e @ ((params.eps_inf / tau) * e_prev_free - (params.delta_eps / tau) * increment)
     rhs += ops.c.T @ h_prev
     rhs -= 0.25 * tau * (operator.curlcurl @ e_prev_free)
 
@@ -326,30 +350,24 @@ def step(
 
     state.fields = FieldVectors(e=e_full, p=np.zeros(ops.mesh.n_edges), h=h_new)
     state.n = m
-    _close_level(state, ops, params, operator, sources)
+    _close_level(state, ops, params)
     return state
 
 
-def _close_level(
-    state: StepperState,
-    ops: AssembledOperators,
-    params: HNParams,
-    operator: StepOperator,
-    sources: SourceLoads,
-) -> None:
-    """Store M_E e^n and ||E^n||^2 of the current level, then recover P^n from
-    the constitutive relation."""
-    n = state.n
+def _close_level(state: StepperState, ops: AssembledOperators, params: HNParams) -> None:
+    """Add e^n and ||E^n||^2 of the current level to the accumulators, then
+    recover P^n from the constitutive relation."""
     free = ops.free_edges
     e = state.fields.e
-    me = ops.m_e_full @ e
-    state.me_free_history[n] = me[free]
-    state.e_norm_sq_history[n] = e @ me
-    w_rev = state.weights.weights[n::-1].copy()  # contiguous, so the product runs in BLAS
-    p_rhs = params.delta_eps * (w_rev @ state.me_free_history[: n + 1])
-    if sources.g3 is not None:
-        p_rhs += sources.g3(state.t)
-    state.fields.p[free] = operator.solve_mass(p_rhs)
+    rates = state.memory.rates
+    state.e_norm_sq = float(e @ (ops.m_e_full @ e))
+    state.acc_e *= rates[:, None]
+    state.acc_e += e[free]
+    state.acc_norm_sq = rates * state.acc_norm_sq + state.e_norm_sq
+    p = params.delta_eps * (state.memory.coeffs @ state.acc_e)
+    if state.p_source is not None:
+        p += state.p_source(state.t)
+    state.fields.p[free] = p
 
 
 @dataclass(frozen=True)
@@ -368,12 +386,10 @@ def energy_components(
     state: StepperState, ops: AssembledOperators, params: HNParams
 ) -> tuple[float, float, float]:
     """(eps_inf ||E^n||^2, ||H^n||^2, delta_eps sum_k w_{n-k} ||E^k||^2)."""
-    n = state.n
-    w = state.weights.weights
-    term_e = params.eps_inf * state.e_norm_sq_history[n]
+    term_e = params.eps_inf * state.e_norm_sq
     term_h = float(state.fields.h @ (ops.m_h_diag * state.fields.h))
-    term_hist = params.delta_eps * float(w[n::-1] @ state.e_norm_sq_history[: n + 1])
-    return float(term_e), term_h, term_hist
+    term_hist = params.delta_eps * float(state.memory.coeffs @ state.acc_norm_sq)
+    return term_e, term_h, term_hist
 
 
 def energy(state: StepperState, ops: AssembledOperators, params: HNParams) -> float:
@@ -469,10 +485,10 @@ def _integrate(
     """Run the scheme from the interpolants of the ``initial`` (E, H) fields,
     calling ``observe(state)`` at level 0 and after every step."""
     n_steps = _step_count(t_final, tau)
-    weights = generate_weights(scheme, params.alpha, params.beta, tau, n_steps)
-    operator = StepOperator(ops, params, tau, weights.weights[0])
+    memory = fit_exp_sum(generate_weights(scheme, params.alpha, params.beta, tau, n_steps))
+    operator = StepOperator(ops, params, tau, memory.w0)
     e0, h0 = interpolate_E(ops.mesh, initial[0], 0.0), interpolate_H(ops.mesh, initial[1], 0.0)
-    state = init_state(ops, params, weights, e0, h0, n_steps, operator, sources)
+    state = init_state(ops, params, memory, e0, h0, operator, sources)
     observe(state)
     for _ in range(n_steps):
         observe(step(state, ops, params, operator, sources))

@@ -1,5 +1,8 @@
 """Harness tests: CSV schemas, config handling, determinism."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,36 @@ def test_kernel_cancellation_exits_2(tmp_path, capsys):
     assert not (tmp_path / "kernel.csv").exists()
     err = capsys.readouterr().err
     assert err.startswith("hnmx: ") and err.count("\n") == 1
+
+
+def test_non_cm_scheme_exits_2(tmp_path, capsys):
+    # no positive exponential sum matches bdf2 at (0.9, 0.9): refuse, write nothing
+    assert main([
+        "energy", "--scheme", "bdf2", "--alpha", "0.9", "--beta", "0.9", "--tau", "0.1",
+        "--T", "1", "--nx", "2", "--ny", "2", "--out", str(tmp_path),
+    ]) == 2
+    assert not list(tmp_path.glob("energy_*.csv"))
+    err = capsys.readouterr().err
+    assert err.startswith("hnmx: bdf2 weights (alpha=0.9, beta=0.9, tau=0.1, N=10)")
+    assert err.count("\n") == 1
+    # where bdf2 happens to be completely monotone it still runs
+    assert main([
+        "energy", "--scheme", "bdf2", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1",
+        "--T", "1", "--nx", "2", "--ny", "2", "--out", str(tmp_path),
+    ]) == 0
+
+
+def test_stepper_run_leaves_scipy_optimize_unimported(tmp_path):
+    # the exponential-sum fit carries its own NNLS; importing scipy.optimize
+    # would add a quarter second to every run
+    code = (
+        "import sys\n"
+        "from hnmaxwell.cli import main\n"
+        f"main(['energy', '--alpha', '0.5', '--beta', '0.5', '--tau', '0.25', '--nx', '2', "
+        f"'--ny', '2', '--out', {str(tmp_path)!r}])\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
 
 def test_convergence_csv(tmp_path):

@@ -7,13 +7,19 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hnmaxwell.prabhakar import prabhakar_integral_monomial
 from hnmaxwell.quadrature import (
+    FIT_TOL,
     CM2Constants,
+    NotCompletelyMonotoneError,
+    _nnls,
     bdf_cq_weights,
     cm2_weights,
     delta_consistency_residual,
+    fit_exp_sum,
     generate_weights,
 )
 from hnmaxwell.series import TruncatedSeries, series_pow
@@ -207,3 +213,89 @@ class TestQuadratureOrder:
     def test_error_decreases_monotonically(self):
         errs = [self._error(0.9, 0.9, tau) for tau in (1 / 10, 1 / 20, 1 / 40, 1 / 80)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+class TestExpSumFit:
+    """Positive exponential sums fitted to the weight tables: positive
+    coefficients, rates in (0, 1), relative miss within FIT_TOL."""
+
+    @staticmethod
+    def _check(w):
+        fit = fit_exp_sum(w)
+        assert (fit.coeffs > 0.0).all()
+        assert ((fit.rates > 0.0) & (fit.rates < 1.0)).all()
+        assert fit.miss <= FIT_TOL
+        # the reported miss is the one of the materialized sum
+        assert np.max(np.abs(fit.weights() / w.weights - 1.0)) == pytest.approx(fit.miss, abs=1e-16)
+        assert fit.w0 == pytest.approx(fit.weights()[0], rel=1e-15)
+        return fit
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 0.95),
+        beta=st.floats(0.05, 1.0),
+        tau=st.floats(1e-3, 0.5),
+        n=st.integers(0, 1024),
+    )
+    @example(alpha=0.5, beta=1.0, tau=1 / 1024, n=1024)
+    @example(alpha=0.9, beta=1.0, tau=0.5, n=1024)
+    @example(alpha=0.999, beta=1.0, tau=1e-3, n=1024)
+    @example(alpha=0.999, beta=0.05, tau=0.5, n=1024)
+    def test_cm2(self, alpha, beta, tau, n):
+        self._check(cm2_weights(alpha, beta, tau, n))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 1.0), tau=st.floats(1e-3, 0.5), n=st.integers(0, 1024))
+    @example(beta=1.0, tau=0.5, n=1024)
+    @example(beta=0.05, tau=0.5, n=1024)
+    def test_cm2_alpha_near_one(self, beta, tau, n):
+        self._check(cm2_weights(0.999, beta, tau, n))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 1.0), tau=st.floats(1e-3, 0.5), n=st.integers(0, 1024))
+    @example(beta=1.0, tau=0.1, n=64)
+    @example(beta=0.05, tau=0.5, n=1024)
+    def test_bdf1_alpha_one(self, beta, tau, n):
+        self._check(bdf_cq_weights(1, 1.0, beta, tau, n))
+
+    def test_bdf1_debye_is_one_exponential(self):
+        # alpha = beta = 1: w_j = tau/(1+tau) * (1+tau)^-j exactly
+        fit = self._check(bdf_cq_weights(1, 1.0, 1.0, 0.1, 10))
+        assert fit.rates.size == 1
+        assert fit.rates[0] == pytest.approx(1.0 / 1.1, rel=1e-15)
+        assert fit.coeffs[0] == pytest.approx(0.1 / 1.1, rel=1e-14)
+
+    def test_bdf2_fits_where_completely_monotone(self):
+        self._check(bdf_cq_weights(2, 0.5, 0.5, 0.1, 10))
+
+    def test_non_cm_table_refused(self):
+        with pytest.raises(NotCompletelyMonotoneError) as info:
+            fit_exp_sum(bdf_cq_weights(2, 0.9, 0.9, 0.1, 10))
+        message = str(info.value)
+        for part in ("bdf2", "alpha=0.9", "beta=0.9", "tau=0.1", "N=10"):
+            assert part in message
+        # the best positive sum misses this table by about 7e-2
+        miss = float(message.split("misses them by ")[1].split()[0])
+        assert 0.05 < miss < 0.1
+
+    def test_nonpositive_weight_refused(self):
+        # bdf2 weights change sign at coarse steps near alpha = 1
+        w = bdf_cq_weights(2, 0.95, 0.95, 2.0, 20)
+        assert (w.weights <= 0.0).any()
+        with pytest.raises(NotCompletelyMonotoneError, match="not positive"):
+            fit_exp_sum(w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_nnls_kkt(m, n, seed):
+    # optimality conditions of min ||a x - b||, x >= 0: x >= 0, the gradient
+    # a^T (b - a x) vanishes on the support and is <= 0 off it
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(m, n)), rng.normal(size=m)
+    x = _nnls(a, b)
+    grad = a.T @ (b - a @ x)
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    assert (x >= 0.0).all()
+    assert np.all(np.abs(grad[x > 0.0]) <= 1e-10 * scale)
+    assert np.all(grad[x == 0.0] <= 1e-10 * scale)

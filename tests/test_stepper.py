@@ -17,9 +17,10 @@ from hnmaxwell.fem import (
     interpolate_E,
     interpolate_H,
 )
-from hnmaxwell.quadrature import cm2_weights
+from hnmaxwell.quadrature import cm2_weights, fit_exp_sum
 from hnmaxwell.stepper import (
     HNParams,
+    SourceLoads,
     SourceSet,
     StepOperator,
     decay_initial_E,
@@ -45,6 +46,10 @@ def default_params(**kw):
     base = dict(eps_inf=1.0, delta_eps=1.0, alpha=0.5, beta=0.5)
     base.update(kw)
     return HNParams(**base)
+
+
+def cm2_memory(alpha, beta, tau, n):
+    return fit_exp_sum(cm2_weights(alpha, beta, tau, n))
 
 
 class TestStepOperator:
@@ -79,9 +84,9 @@ class TestStepBasics:
         mesh = build_mesh(4, 4)
         ops = assemble(mesh)
         params = default_params()
-        w = cm2_weights(0.5, 0.5, 0.1, 5)
-        op = StepOperator(ops, params, 0.1, w.weights[0])
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 5, op)
+        w = cm2_memory(0.5, 0.5, 0.1, 5)
+        op = StepOperator(ops, params, 0.1, w.w0)
+        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), op)
         for _ in range(5):
             step(state, ops, params, operator=op)
         assert np.array_equal(state.fields.e, np.zeros(mesh.n_edges))
@@ -92,9 +97,9 @@ class TestStepBasics:
         mesh = build_mesh(1, 1)
         ops = assemble(mesh)
         params = default_params()
-        w = cm2_weights(0.5, 0.5, 0.25, 4)
-        op = StepOperator(ops, params, 0.25, w.weights[0])
-        state = init_state(ops, params, w, np.zeros(4), np.ones(1), 4, op)
+        w = cm2_memory(0.5, 0.5, 0.25, 4)
+        op = StepOperator(ops, params, 0.25, w.w0)
+        state = init_state(ops, params, w, np.zeros(4), np.ones(1), op)
         for _ in range(4):
             step(state, ops, params, operator=op)
         # no interior E dofs: H cannot change
@@ -104,9 +109,9 @@ class TestStepBasics:
         mesh = build_mesh(2, 2)
         ops = assemble(mesh)
         params = default_params()
-        w = cm2_weights(0.5, 0.5, 0.5, 2)
-        op = StepOperator(ops, params, 0.5, w.weights[0])
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 2, op)
+        w = cm2_memory(0.5, 0.5, 0.5, 2)
+        op = StepOperator(ops, params, 0.5, w.w0)
+        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), op)
         step(state, ops, params, operator=op)
         step(state, ops, params, operator=op)
         with pytest.raises(ValueError):
@@ -116,15 +121,14 @@ class TestStepBasics:
         mesh = build_mesh(6, 6)
         ops = assemble(mesh)
         params = default_params(alpha=0.3, beta=0.9)
-        w = cm2_weights(0.3, 0.9, 0.1, 10)
-        op = StepOperator(ops, params, 0.1, w.weights[0])
+        w = cm2_memory(0.3, 0.9, 0.1, 10)
+        op = StepOperator(ops, params, 0.1, w.w0)
         state = init_state(
             ops,
             params,
             w,
             interpolate_E(mesh, decay_initial_E),
             interpolate_H(mesh, decay_initial_H),
-            10,
             op,
         )
         for _ in range(10):
@@ -140,9 +144,9 @@ class TestStepBasics:
         h0 = interpolate_H(mesh, decay_initial_H)
         runs = []
         for scale in (1.0, 2.0):
-            w = cm2_weights(0.7, 0.4, 0.1, 10)
-            op = StepOperator(ops, params, 0.1, w.weights[0])
-            state = init_state(ops, params, w, scale * e0, scale * h0, 10, op)
+            w = cm2_memory(0.7, 0.4, 0.1, 10)
+            op = StepOperator(ops, params, 0.1, w.w0)
+            state = init_state(ops, params, w, scale * e0, scale * h0, op)
             for _ in range(10):
                 step(state, ops, params, operator=op)
             runs.append(state.fields)
@@ -156,24 +160,24 @@ class TestEnergy:
         mesh = build_mesh(3, 3)
         ops = assemble(mesh)
         params = default_params()
-        w = cm2_weights(0.5, 0.5, 0.1, 2)
-        op = StepOperator(ops, params, 0.1, w.weights[0])
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), 2, op)
+        w = cm2_memory(0.5, 0.5, 0.1, 2)
+        op = StepOperator(ops, params, 0.1, w.w0)
+        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), op)
         assert energy(state, ops, params) == 0.0
 
     def test_level_zero_formula(self):
         mesh = build_mesh(6, 6)
         ops = assemble(mesh)
         params = default_params(eps_inf=1.5, delta_eps=2.0)
-        w = cm2_weights(0.5, 0.5, 0.1, 3)
+        w = cm2_memory(0.5, 0.5, 0.1, 3)
         e0 = interpolate_E(mesh, decay_initial_E)
         h0 = interpolate_H(mesh, decay_initial_H)
-        state = init_state(ops, params, w, e0, h0, 3, StepOperator(ops, params, 0.1, w.weights[0]))
+        state = init_state(ops, params, w, e0, h0, StepOperator(ops, params, 0.1, w.w0))
         e0c = e0.copy()
         e0c[mesh.boundary_edges] = 0.0
         ee = e0c @ (ops.m_e_full @ e0c)
         hh = h0 @ (ops.m_h_diag * h0)
-        expected = 1.5 * ee + hh + 2.0 * w.weights[0] * ee
+        expected = 1.5 * ee + hh + 2.0 * w.w0 * ee
         assert energy(state, ops, params) == pytest.approx(expected, rel=1e-14)
 
     def test_decay_zero_sources(self):
@@ -205,11 +209,11 @@ class TestEnergy:
         ops = assemble(mesh)
         params = default_params(alpha=alpha, beta=beta)
         n_steps = 8
-        w = cm2_weights(alpha, beta, tau, n_steps)
-        op = StepOperator(ops, params, tau, w.weights[0])
+        w = cm2_memory(alpha, beta, tau, n_steps)
+        op = StepOperator(ops, params, tau, w.w0)
         rng = np.random.default_rng(seed)
         e0, h0 = rng.normal(size=mesh.n_edges), rng.normal(size=mesh.n_cells)
-        state = init_state(ops, params, w, e0, h0, n_steps, op)
+        state = init_state(ops, params, w, e0, h0, op)
         totals = [energy(state, ops, params)]
         for _ in range(n_steps):
             totals.append(energy(step(state, ops, params, op), ops, params))
@@ -227,32 +231,113 @@ class TestEnergy:
         ops = assemble(mesh)
         params = default_params(alpha=0.4, beta=0.8)
         n_steps = 12
-        w = cm2_weights(0.4, 0.8, 0.05, n_steps)
-        op = StepOperator(ops, params, 0.05, w.weights[0])
+        w = cm2_memory(0.4, 0.8, 0.05, n_steps)
+        op = StepOperator(ops, params, 0.05, w.w0)
         state = init_state(
             ops,
             params,
             w,
             interpolate_E(mesh, decay_initial_E),
             interpolate_H(mesh, decay_initial_H),
-            n_steps,
             op,
         )
         levels = [state.fields.e.copy()]
         for _ in range(n_steps):
             step(state, ops, params, operator=op)
             levels.append(state.fields.e.copy())
-        # from-scratch convolution of the E levels seen while stepping
-        conv = sum(
-            w.weights[n_steps - k] * (ops.m_e_full @ levels[k]) for k in range(n_steps + 1)
-        )
+        # from-scratch convolution of the E levels seen while stepping, with the
+        # materialized weights of the fitted exponential sum
+        w_hat = w.weights()
+        conv = sum(w_hat[n_steps - k] * (ops.m_e_full @ levels[k]) for k in range(n_steps + 1))
         assert np.allclose(params.delta_eps * conv, ops.m_e_full @ state.fields.p, rtol=1e-12, atol=1e-15)
         hist = sum(
-            w.weights[n_steps - k] * levels[k] @ (ops.m_e_full @ levels[k])
+            w_hat[n_steps - k] * levels[k] @ (ops.m_e_full @ levels[k])
             for k in range(n_steps + 1)
         )
         _, _, term_hist = energy_components(state, ops, params)
         assert term_hist == pytest.approx(params.delta_eps * hist, rel=1e-12)
+
+
+def dense_history_run(ops, params, memory, operator, sources, e0, h0):
+    """The dense-history stepper on the materialized weights w_hat: every level
+    stores M_E e^k on the free dofs and ||E^k||^2, the step convolves the whole
+    stored history, and P is recovered by a mass solve.  Yields (e, h, p,
+    energy) per level."""
+    w = memory.weights()
+    tau, n_steps = memory.tau, memory.order
+    free = ops.free_edges
+    me_hist = np.zeros((n_steps + 1, free.size))
+    norm_sq = np.zeros(n_steps + 1)
+    e = e0.copy()
+    e[ops.mesh.boundary_edges] = 0.0
+    h = h0.copy()
+
+    def close(n):
+        me = ops.m_e_full @ e
+        me_hist[n] = me[free]
+        norm_sq[n] = e @ me
+        p = np.zeros(ops.mesh.n_edges)
+        p[free] = operator.solve_mass(
+            params.delta_eps * (w[n::-1] @ me_hist[: n + 1]) + sources.g3(n * tau)
+        )
+        total = (
+            params.eps_inf * norm_sq[n]
+            + h @ (ops.m_h_diag * h)
+            + params.delta_eps * (w[n::-1] @ norm_sq[: n + 1])
+        )
+        return e, h, p, total
+
+    yield close(0)
+    for m in range(1, n_steps + 1):
+        t_m, t_prev = m * tau, (m - 1) * tau
+        dw = w[m:0:-1] - w[m - 1 :: -1]
+        rhs = (params.eps_inf / tau) * me_hist[m - 1] - (params.delta_eps / tau) * (dw @ me_hist[:m])
+        rhs += ops.c.T @ h - 0.25 * tau * (operator.curlcurl @ e[free])
+        b2 = 0.5 * (sources.g2(t_m) + sources.g2(t_prev))
+        rhs += 0.5 * tau * (ops.c.T @ (b2 / ops.m_h_diag))
+        rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
+        rhs -= (sources.g3(t_m) - sources.g3(t_prev)) / tau
+        e_new = np.zeros(ops.mesh.n_edges)
+        e_new[free] = operator.solve(rhs)
+        h = h - 0.5 * tau * (ops.c_full @ (e_new + e)) / ops.m_h_diag + tau * b2 / ops.m_h_diag
+        e = e_new
+        yield close(m)
+
+
+class TestDenseHistoryOracle:
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 1.0)])
+    def test_accumulators_match_dense_history(self, alpha, beta):
+        mesh = build_mesh(8, 8)
+        ops = assemble(mesh)
+        params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=alpha, beta=beta)
+        n_steps = 200
+        memory = cm2_memory(alpha, beta, 1.0 / n_steps, n_steps)
+        op = StepOperator(ops, params, memory.tau, memory.w0)
+        sources = manufactured_sources(params).assemble(ops)
+        e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
+        state = init_state(ops, params, memory, e0, h0, op, sources)
+        for level, (e, h, p, total) in enumerate(
+            dense_history_run(ops, params, memory, op, sources, e0, h0)
+        ):
+            if level > 0:
+                step(state, ops, params, op, sources)
+            for got, want in ((state.fields.e, e), (state.fields.h, h), (state.fields.p, p)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert energy(state, ops, params) == pytest.approx(total, rel=1e-12)
+        assert state.n == n_steps
+
+    def test_zero_g3_needs_no_mass_solve(self, monkeypatch):
+        # zero sources: P comes from the accumulators alone
+        ops = assemble(build_mesh(4, 4))
+        params = default_params()
+        memory = cm2_memory(0.5, 0.5, 0.1, 4)
+        op = StepOperator(ops, params, 0.1, memory.w0)
+        monkeypatch.setattr(op, "solve_mass", lambda rhs: pytest.fail("mass solve"))
+        e0 = interpolate_E(ops.mesh, decay_initial_E)
+        state = init_state(ops, params, memory, e0, interpolate_H(ops.mesh, decay_initial_H), op)
+        for _ in range(4):
+            step(state, ops, params, op, SourceLoads())
+        assert np.linalg.norm(state.fields.p) > 0.0
 
 
 class TestManufacturedSources:
