@@ -16,8 +16,16 @@ Two families are provided:
   second order but lose complete monotonicity; they exist here as the
   counterexample baseline.
 
-Coefficients are extracted by truncated-series composition (Miller
-recurrence); an independent FFT/Cauchy-integral oracle lives in the tests.
+Both BDF symbols factor over (1-z), delta_1 = 1-z and
+delta_2 = (3/2)(1-z)(1-z/3), so delta^alpha is a product of two closed-form
+binomial series, as in cm2.  All three schemes therefore share one form,
+
+      w(z) = [1 + s * (1-z)^alpha * (1 - d*z)^e]^(-beta),
+
+with (s, d, e) = (tau^-alpha c^(1-alpha), d, 1-alpha) for cm2,
+(tau^-alpha, 0, 0) for bdf1 and ((3/(2 tau))^alpha, 1/3, alpha) for bdf2,
+and one call of the Miller recurrence (``series_pow``) per table; an
+independent FFT/Cauchy-integral oracle lives in the tests.
 
 ``fit_exp_sum`` compresses a table into a positive exponential sum
 w_hat_j = sum_l c_l r_l^j (c_l > 0, 0 < r_l < 1).  Such a sum is a Hausdorff
@@ -35,7 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .series import TruncatedSeries, binom_series, series_mul, series_pow
+from .series import binom_series, series_mul, series_pow
 
 __all__ = [
     "CQWeights",
@@ -165,10 +173,9 @@ def cm2_weights(alpha: float, beta: float, tau: float, n: int) -> CQWeights:
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     consts = CM2Constants.from_alpha(alpha)
-    prefactor = tau ** (-alpha) * consts.c ** (1.0 - alpha)
-    b = series_mul(binom_series(alpha, 1.0, n), binom_series(1.0 - alpha, consts.d, n))
-    w = series_pow(b.scale(prefactor).add_scalar(1.0), -beta)
-    return CQWeights(scheme="cm2", alpha=alpha, beta=beta, tau=tau, weights=w.coeffs)
+    scale = tau ** (-alpha) * consts.c ** (1.0 - alpha)
+    w = _symbol_weights(alpha, beta, n, scale, consts.d, 1.0 - alpha)
+    return CQWeights(scheme="cm2", alpha=alpha, beta=beta, tau=tau, weights=w)
 
 
 def bdf_cq_weights(order: int, alpha: float, beta: float, tau: float, n: int) -> CQWeights:
@@ -179,19 +186,18 @@ def bdf_cq_weights(order: int, alpha: float, beta: float, tau: float, n: int) ->
         raise ValueError(f"fractional orders must lie in (0, 1], got alpha={alpha}, beta={beta}")
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    delta = np.zeros(n + 1)
-    if order == 1:
-        poly = [1.0, -1.0]
-    else:
-        # (1-z) + (1-z)^2/2 = 3/2 - 2z + z^2/2
-        poly = [1.5, -2.0, 0.5]
-    m = min(len(poly), n + 1)
-    delta[:m] = poly[:m]
-    delta_over_tau = TruncatedSeries(delta / tau)
-    inner = series_pow(delta_over_tau, alpha).add_scalar(1.0)
-    w = series_pow(inner, -beta)
+    if order == 1:  # delta_1 = 1 - z
+        w = _symbol_weights(alpha, beta, n, tau ** (-alpha), 0.0, 0.0)
+    else:  # delta_2 = (1-z) + (1-z)^2/2 = (3/2)(1-z)(1-z/3)
+        w = _symbol_weights(alpha, beta, n, (1.5 / tau) ** alpha, 1.0 / 3.0, alpha)
     scheme = "bdf1" if order == 1 else "bdf2"
-    return CQWeights(scheme=scheme, alpha=alpha, beta=beta, tau=tau, weights=w.coeffs)
+    return CQWeights(scheme=scheme, alpha=alpha, beta=beta, tau=tau, weights=w)
+
+
+def _symbol_weights(alpha: float, beta: float, n: int, scale: float, d: float, e: float) -> np.ndarray:
+    """Taylor coefficients 0..n of (1 + scale * (1-z)^alpha * (1-d*z)^e)^(-beta)."""
+    b = series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
+    return series_pow(b.scale(scale).add_scalar(1.0), -beta).coeffs
 
 
 def generate_weights(scheme: str, alpha: float, beta: float, tau: float, n: int) -> CQWeights:

@@ -195,13 +195,15 @@ class SourceSet:
 
 
 class StepOperator:
-    """Factorized step matrix and reduced edge mass matrix on the free edge dofs."""
+    """Factorized step matrix and reduced edge mass matrix on the free edge dofs,
+    with the transposed curl ``curl_t`` (cells to free edges) stored once."""
 
     def __init__(self, ops: AssembledOperators, params: HNParams, tau: float, w0: float):
         if w0 <= 0.0:
             raise ValueError(f"leading weight w0 must be positive, got {w0}")
         inv_mh = sp.diags(1.0 / ops.m_h_diag)
-        self.curlcurl = (ops.c.T @ inv_mh @ ops.c).tocsr()
+        self.curl_t = ops.c.T.tocsr()
+        self.curlcurl = (self.curl_t @ inv_mh @ ops.c).tocsr()
         self.matrix = (
             ((params.eps_inf + params.delta_eps * w0) / tau) * ops.m_e
             + 0.25 * tau * self.curlcurl
@@ -215,9 +217,10 @@ class StepOperator:
         if self._lu is None:
             return np.zeros(0)
         x = self._lu.solve(rhs)
-        if self._residual(x, rhs) > SOLVER_RTOL:
-            x = x + self._lu.solve(rhs - self.matrix @ x)
         res = self._residual(x, rhs)
+        if res > SOLVER_RTOL:
+            x = x + self._lu.solve(rhs - self.matrix @ x)
+            res = self._residual(x, rhs)
         if res > SOLVER_RTOL:
             raise SolveError(f"solver residual {res:.3e} exceeds {SOLVER_RTOL}", residual=res)
         return x
@@ -329,13 +332,13 @@ def step(
     # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l
     increment = (mem.coeffs * (mem.rates - 1.0)) @ state.acc_e
     rhs = ops.m_e @ ((params.eps_inf / tau) * e_prev_free - (params.delta_eps / tau) * increment)
-    rhs += ops.c.T @ h_prev
+    rhs += operator.curl_t @ h_prev
     rhs -= 0.25 * tau * (operator.curlcurl @ e_prev_free)
 
     b2 = None
     if sources.g2 is not None:
         b2 = 0.5 * (sources.g2(t_m) + sources.g2(t_prev))
-        rhs += 0.5 * tau * (ops.c.T @ (b2 / ops.m_h_diag))
+        rhs += 0.5 * tau * (operator.curl_t @ (b2 / ops.m_h_diag))
     if sources.g1 is not None:
         rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
     if sources.g3 is not None:

@@ -56,6 +56,26 @@ def cauchy_coefficient_oracle_bdf(order, alpha, beta, tau, n, radius=0.5):
     return _cauchy_dft(genfun, n, radius)
 
 
+def bdf2_recurrence_oracle(alpha, beta, tau, n, digits=40):
+    """bdf2 weights by the Miller recurrence in ``digits``-digit arithmetic,
+    composed as the polynomial route: (delta_2/tau)^alpha from the three
+    coefficients of delta_2 = 3/2 - 2z + z^2/2, then (1 + .)^(-beta)."""
+
+    def miller(f, gamma):
+        h = [f[0] ** gamma]
+        for m in range(1, len(f)):
+            terms = (((gamma + 1) * k - m) * f[k] * h[m - k] for k in range(1, m + 1) if f[k])
+            h.append(mp.fsum(terms) / (m * f[0]))
+        return h
+
+    with mp.workdps(digits):
+        t = mp.mpf(tau)
+        delta = ([mp.mpf(3) / 2 / t, -2 / t, 1 / (2 * t)] + [mp.mpf(0)] * n)[: n + 1]
+        inner = miller(delta, mp.mpf(alpha))
+        inner[0] += 1
+        return np.array([float(x) for x in miller(inner, -mp.mpf(beta))])
+
+
 def _cauchy_dft(genfun, n, radius):
     m_pts = 4 * max(n, 1)
     digits = int(n * math.log10(1.0 / radius)) + 30
@@ -144,6 +164,16 @@ class TestBdfWeights:
         mine = bdf_cq_weights(order, 0.7, 0.4, 0.05, 128).weights
         oracle = cauchy_coefficient_oracle_bdf(order, 0.7, 0.4, 0.05, 128)
         assert np.max(np.abs(mine - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("alpha, beta", [(0.95, 0.05), (0.5, 0.5)])
+    def test_bdf2_matches_high_precision_recurrence(self, alpha, beta):
+        # the closed-form symbol (3/2)^alpha (1-z)^alpha (1-z/3)^alpha keeps every
+        # weight within 1e-13 relative; the polynomial route delta_2^alpha by a
+        # second recurrence was off by 2.2e-13 at alpha = 0.95
+        tau, n = 2.0**-10, 400
+        mine = bdf_cq_weights(2, alpha, beta, tau, n).weights
+        oracle = bdf2_recurrence_oracle(alpha, beta, tau, n)
+        assert np.max(np.abs(mine / oracle - 1.0)) < 1e-13
 
     def test_alpha_one_matches_plain_pipeline(self):
         # at alpha = 1 the generating function degenerates to (1 + (1-z)/tau)^-beta

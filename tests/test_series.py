@@ -1,10 +1,12 @@
-"""Truncated-series arithmetic against hand expansions and a long-division
-reciprocal oracle."""
+"""Truncated-series arithmetic against hand expansions, a long-division
+reciprocal oracle and the per-coefficient Miller recurrence."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hnmaxwell.series import TruncatedSeries, binom_series, series_mul, series_pow
+from hnmaxwell.series import BLOCK, TruncatedSeries, binom_series, series_mul, series_pow
 
 
 def reciprocal_by_long_division(coeffs: np.ndarray) -> np.ndarray:
@@ -14,6 +16,75 @@ def reciprocal_by_long_division(coeffs: np.ndarray) -> np.ndarray:
     for n in range(1, coeffs.size):
         out[n] = -np.dot(coeffs[1 : n + 1], out[:n][::-1]) / coeffs[0]
     return out
+
+
+def miller_by_rows(coeffs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the Miller recurrence one coefficient at a time,
+
+        h_n = (1 / (n*f0)) * sum_{k=1..n} (gamma*k - (n - k)) * f_k * h_{n-k},
+
+    and the size of each row, sum_k (|gamma|*k + n - k) * |f_k * h_{n-k}| / (n*f0),
+    which is |h_n| itself when the row does not cancel (gamma < 0 and one-signed
+    f_k * h_{n-k}, as for the cm2 weights).  The factor is written
+    gamma*k - (n - k), not (gamma + 1)*k - n, which would lose gamma to
+    rounding when |gamma| is small."""
+    f0 = coeffs[0]
+    h = np.empty_like(coeffs)
+    size = np.empty_like(coeffs)
+    h[0] = size[0] = f0**gamma
+    for n in range(1, coeffs.size):
+        k = np.arange(1, n + 1)
+        fh = coeffs[1 : n + 1] * h[n - k]
+        h[n] = ((gamma * k - (n - k)) * fh).sum() / (n * f0)
+        size[n] = ((abs(gamma) * k + (n - k)) * np.abs(fh)).sum() / (n * f0)
+    return h, size
+
+
+def symbol_series(shape: str, alpha: float, tau: float, n: int) -> TruncatedSeries:
+    """1 + s (1-z)^alpha (1-dz)^e of the cm2, bdf1 or bdf2 weights."""
+    if shape == "cm2":
+        c, d = (2.0 - alpha) / (2.0 - 2.0 * alpha), alpha / (2.0 - alpha)
+        s, e = tau**-alpha * c ** (1.0 - alpha), 1.0 - alpha
+    elif shape == "bdf1":
+        s, d, e = tau**-alpha, 0.0, 0.0
+    else:
+        s, d, e = (1.5 / tau) ** alpha, 1.0 / 3.0, alpha
+    b = series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
+    return b.scale(s).add_scalar(1.0)
+
+
+BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(["cm2", "bdf1", "bdf2"]),
+    alpha=st.floats(0.05, 0.999),
+    tau=st.floats(-3.5, 0.0).map(lambda x: 10.0**x),
+    # |gamma| < 1e-100 would push h_n (about gamma * (log f)_n) toward subnormal numbers
+    gamma=st.floats(-1.0, 1.0).filter(lambda g: g == 0.0 or abs(g) >= 1e-100),
+    n=st.sampled_from(BLOCK_EDGES) | st.integers(0, 1100),
+)
+@example(shape="bdf1", alpha=1.0, tau=0.1, gamma=-0.6, n=BLOCK + 1)
+@example(shape="bdf2", alpha=0.95, tau=2.0**-10, gamma=-0.05, n=1100)
+@example(shape="cm2", alpha=0.999, tau=1e-3, gamma=-1.0, n=2 * BLOCK)
+@example(shape="bdf2", alpha=0.78, tau=2e-3, gamma=0.81, n=475)
+def test_pow_blocked_matches_rows(shape, alpha, tau, gamma, n):
+    # the blocked solve reorders the sums only: agreement to roundoff of each row
+    f = symbol_series(shape, alpha, tau, n)
+    want, size = miller_by_rows(f.coeffs, gamma)
+    got = series_pow(f, gamma).coeffs
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * size).all()
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_pow_block_edges_relative(n):
+    # cm2 weights: positive rows without cancellation, so plain relative agreement
+    f = symbol_series("cm2", 0.5, 0.01, n)
+    want, _ = miller_by_rows(f.coeffs, -0.5)
+    got = series_pow(f, -0.5).coeffs
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_binom_linear():
