@@ -5,6 +5,7 @@ from .fem import (
     AssembledOperators,
     FieldVectors,
     MaxwellMesh,
+    MeshModes,
     assemble,
     assemble_cell_load,
     assemble_edge_load,

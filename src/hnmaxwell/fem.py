@@ -18,6 +18,9 @@ horizontal edges on y in {0,1} and the vertical edges on x in {0,1}; those
 rows/columns are eliminated symmetrically, keeping the reduced edge mass
 matrix symmetric positive definite.
 
+On this uniform grid both mass matrices and the curl are diagonal in a
+sine/cosine basis, :attr:`MaxwellMesh.modes`, in which the stepper runs.
+
 2D curl conventions: for a scalar field, curl H = (dH/dy, -dH/dx); for a
 vector field, curl E = dE2/dx - dE1/dy.  The curl matrix C maps edge dofs to
 cell dofs with entries integral_K curl(phi_j), i.e. the counterclockwise
@@ -38,6 +41,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "MaxwellMesh",
+    "MeshModes",
     "FieldVectors",
     "AssembledOperators",
     "build_mesh",
@@ -150,6 +154,92 @@ class MaxwellMesh:
         y[v] = (iy.ravel() + 0.5) * self.hy
         return x, y
 
+    @cached_property
+    def modes(self) -> "MeshModes":
+        """The sine/cosine eigenbasis of the mesh, built once."""
+        nx, ny = self.nx, self.ny
+        area = self.hx * self.hy
+        ky, kx = np.arange(ny)[:, None], np.arange(nx)[None, :]
+        mass_x = np.broadcast_to(area * (2.0 + np.cos(np.pi * ky / ny)) / 3.0, (ny, nx))
+        mass_y = np.broadcast_to(area * (2.0 + np.cos(np.pi * kx / nx)) / 3.0, (ny, nx))
+        curl_x = np.broadcast_to(-2.0 * self.hx * np.sin(0.5 * np.pi * ky / ny), (ny, nx))
+        curl_y = np.broadcast_to(2.0 * self.hy * np.sin(0.5 * np.pi * kx / nx), (ny, nx))
+        return MeshModes(
+            dct_x=_dct2(nx),
+            dct_y=_dct2(ny),
+            dst_x=_dst1(nx),
+            dst_y=_dst1(ny),
+            mass=np.stack([mass_x, mass_y]),
+            curl=np.stack([curl_x, curl_y]),
+            area=area,
+        )
+
+
+def _dct2(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix, rows = modes k, columns = cells i."""
+    k, i = np.arange(n)[:, None], np.arange(n)[None, :]
+    # reduce the angle pi k (2i+1) / (2n) exactly before taking the cosine
+    matrix = np.sqrt(2.0 / n) * np.cos(np.pi * ((k * (2 * i + 1)) % (4 * n)) / (2 * n))
+    matrix[0] = np.sqrt(1.0 / n)
+    return matrix
+
+
+def _dst1(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix over the n-1 interior nodes, zero-padded to
+    rows = modes 0..n-1 (mode 0 empty) and columns = nodes 0..n (ends empty)."""
+    k = np.arange(1, n)[:, None]
+    matrix = np.zeros((n, n + 1))
+    matrix[1:, 1:n] = np.sqrt(2.0 / n) * np.sin(np.pi * ((k * k.T) % (2 * n)) / n)
+    return matrix
+
+
+@dataclass(frozen=True)
+class MeshModes:
+    """The sine/cosine eigenbasis of the mesh (Strang, SIAM Review 41 (1999)
+    135-147): orthonormal DCT-II over cells and DST-I over interior nodes,
+    E_x by DST-I in y and DCT-II in x, E_y by DCT-II in y and DST-I in x, H by
+    DCT-II in both.
+
+    Modal E is a (2, ny, nx) array [E_x, E_y] indexed (k_y, k_x), with row
+    k_y = 0 of E_x and column k_x = 0 of E_y zero (no sine mode 0); modal H is
+    (ny, nx).  In this basis the edge mass matrix is ``mass``, the cell mass
+    matrix is ``area``, and the curl maps modal E to modal H as
+    ``(curl * e).sum(axis=0)``, all elementwise:
+
+        mass  = area (2 + cos(pi k / n)) / 3,   k, n of the sine direction
+        curl  = -2 hx sin(pi k_y / 2 ny)  (E_x),   +2 hy sin(pi k_x / 2 nx)  (E_y).
+    """
+
+    dct_x: np.ndarray
+    dct_y: np.ndarray
+    dst_x: np.ndarray
+    dst_y: np.ndarray
+    mass: np.ndarray
+    curl: np.ndarray
+    area: float
+
+    def edges_to_modes(self, e: np.ndarray) -> np.ndarray:
+        """Modal E of an edge-dof vector (constrained entries are dropped)."""
+        ny, nx = self.mass.shape[1:]
+        n_horizontal = nx * (ny + 1)
+        e_x = e[:n_horizontal].reshape(ny + 1, nx)
+        e_y = e[n_horizontal:].reshape(ny, nx + 1)
+        return np.stack([self.dst_y @ e_x @ self.dct_x.T, self.dct_y @ e_y @ self.dst_x.T])
+
+    def modes_to_edges(self, e_hat: np.ndarray) -> np.ndarray:
+        """Edge-dof vector of modal E, exactly zero on constrained edges."""
+        e_x = self.dst_y.T @ e_hat[0] @ self.dct_x
+        e_y = self.dct_y.T @ e_hat[1] @ self.dst_x
+        return np.concatenate([e_x.ravel(), e_y.ravel()])
+
+    def cells_to_modes(self, h: np.ndarray) -> np.ndarray:
+        """Modal H of a cell-dof vector."""
+        return self.dct_y @ h.reshape(self.mass.shape[1:]) @ self.dct_x.T
+
+    def modes_to_cells(self, h_hat: np.ndarray) -> np.ndarray:
+        """Cell-dof vector of modal H."""
+        return (self.dct_y.T @ h_hat @ self.dct_x).ravel()
+
 
 @dataclass
 class FieldVectors:
@@ -167,16 +257,15 @@ class FieldVectors:
 class AssembledOperators:
     """Mass and curl matrices of the edge/cell pair of spaces.
 
-    ``m_e`` and ``c`` act on the free (unconstrained) edge dofs; the _full
-    variants act on all edges and back the structural identities and norms
-    (fields keep zeros on constrained entries, so both give equal norms).
+    They act on all edges and define the discretization; the reduced system
+    is their restriction to ``free_edges`` (fields keep zeros on constrained
+    entries, so norms need no restriction).  The stepper uses their
+    eigenbasis, :attr:`MaxwellMesh.modes`, instead.
     """
 
     mesh: MaxwellMesh
-    m_e: sp.csr_matrix
     m_e_full: sp.csr_matrix
     m_h_diag: np.ndarray
-    c: sp.csr_matrix
     c_full: sp.csr_matrix
     grad_full: sp.csr_matrix
     free_edges: np.ndarray
@@ -249,16 +338,13 @@ def assemble(mesh: MaxwellMesh) -> AssembledOperators:
         shape=(mesh.n_edges, mesh.n_nodes),
     ).tocsr()
 
-    free = mesh.free_edges
     return AssembledOperators(
         mesh=mesh,
-        m_e=m_e_full[free][:, free].tocsr(),
         m_e_full=m_e_full,
         m_h_diag=np.full(mesh.n_cells, area),
-        c=c_full[:, free].tocsr(),
         c_full=c_full,
         grad_full=grad_full,
-        free_edges=free,
+        free_edges=mesh.free_edges,
     )
 
 

@@ -10,16 +10,23 @@ The weights are a positive exponential sum w_j = sum_l c_l r_l^j (c_l > 0,
 0 < r_l < 1) fitted once per trajectory to the quadrature table of
 :mod:`hnmaxwell.quadrature`, which refuses tables that are not completely
 monotone.  The memory is then L accumulators instead of the whole history:
-A_l = sum_k r_l^{n-k} e^k on the free edge dofs and B_l = sum_k r_l^{n-k}
-||E^k||^2, each updated by A_l <- r_l A_l + e^n per level, so a step costs
-O(L * dofs) whatever n is.  Eliminating H and P from the step leaves one
-symmetric positive definite solve per step,
+A_l = sum_k r_l^{n-k} e^k and B_l = sum_k r_l^{n-k} ||E^k||^2, each updated
+by A_l <- r_l A_l + e^n per level, so a step costs O(L * dofs) whatever n is.
+Eliminating H and P from the step leaves one linear system per step,
 
     A e^m = rhs,   A = ((eps_inf + delta_eps*w0)/tau) M_E + (tau/4) C^T M_H^{-1} C,
 
-with w0 = sum_l c_l and the memory term M_E sum_l c_l (r_l - 1) A_l in rhs;
-H then follows explicitly and P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n)
-needs no solve.  With zero sources the discrete energy
+with w0 = sum_l c_l and the memory term M_E sum_l c_l (r_l - 1) A_l in rhs.
+The whole trajectory runs in the mesh's sine/cosine eigenbasis
+(:attr:`hnmaxwell.fem.MaxwellMesh.modes`), where M_E and M_H are diagonal and
+C maps each E mode onto one H mode: A is diagonal plus rank one on the at
+most two E modes of each H mode and is solved in closed form
+(Sherman-Morrison), M_E^{-1} is a division, H follows explicitly, the
+norms are sums over modes weighted by the diagonal masses (Parseval), and
+P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n) is formed only when the
+fields are read back.  This relies on the uniform tensor mesh that
+:mod:`hnmaxwell.fem` builds; a non-uniform mesh would need a sparse solve.
+With zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
 
@@ -33,9 +40,9 @@ changes sign across the step (rough fields, large tau).
 
 Each source g1 (Ampere), g2 (Faraday) and g3 is separable, sum_i f_i(t) s_i(x, y);
 :meth:`SourceSet.assemble` turns every s_i into a load vector L_i once, and a
-step forms G(t) = sum_i f_i(t) L_i.  g1 and g2 enter as endpoint averages
-(G(t_m) + G(t_{m-1}))/2; g3 enters at t_m, and M_E^{-1} L_i of its loads is
-formed once per trajectory for the polarization.
+step forms G(t) = sum_i f_i(t) L_i, all in modal form.  g1 and g2 enter as
+endpoint averages (G(t_m) + G(t_{m-1}))/2; g3 enters at t_m, and
+M_E^{-1} L_i of its loads is formed once per trajectory for the polarization.
 """
 
 from __future__ import annotations
@@ -45,8 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import (
     AssembledOperators,
@@ -72,7 +77,6 @@ __all__ = [
     "StepperState",
     "EnergyTrace",
     "ErrorReport",
-    "SolveError",
     "init_state",
     "step",
     "energy",
@@ -88,17 +92,7 @@ __all__ = [
     "observed_rates",
 ]
 
-SOLVER_RTOL = 1e-12
-
 TimeFactor = Callable[[float], float]
-
-
-class SolveError(RuntimeError):
-    """Linear solve failed to reach the required relative residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -148,13 +142,13 @@ class AssembledSource:
     loads: np.ndarray
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.array([f(t) for f in self.factors]) @ self.loads
+        return np.tensordot([f(t) for f in self.factors], self.loads, axes=1)
 
 
 @dataclass(frozen=True)
 class SourceLoads:
-    """A :class:`SourceSet` assembled on one mesh: g1 and g3 on the free edge
-    dofs, g2 on the cells; None means identically zero."""
+    """A :class:`SourceSet` assembled on one mesh, in modal form: g1 and g3 as
+    modal E, g2 as modal H; None means identically zero."""
 
     g1: AssembledSource | None = None
     g2: AssembledSource | None = None
@@ -169,104 +163,92 @@ class SourceSet:
     g2: Separable | None = None
     g3: Separable | None = None
 
-    @classmethod
-    def zero(cls) -> "SourceSet":
-        return cls()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.g1 is None and self.g2 is None and self.g3 is None
-
     def assemble(self, ops: AssembledOperators) -> SourceLoads:
-        """Load vector of every spatial field, each assembled once."""
+        """Modal load of every spatial field, each assembled and transformed once."""
+        modes = ops.mesh.modes
 
-        def assembled(g, assemble_load, rows):
+        def assembled(g, assemble_load, to_modes):
             if g is None:
                 return None
-            loads = [assemble_load(ops.mesh, lambda x, y, t, s=s: s(x, y), 0.0) for _, s in g.terms]
-            return AssembledSource(tuple(f for f, _ in g.terms), np.array(loads)[:, rows])
+            loads = [
+                to_modes(assemble_load(ops.mesh, lambda x, y, t, s=s: s(x, y), 0.0))
+                for _, s in g.terms
+            ]
+            return AssembledSource(tuple(f for f, _ in g.terms), np.array(loads))
 
-        free = ops.free_edges
         return SourceLoads(
-            g1=assembled(self.g1, assemble_edge_load, free),
-            g2=assembled(self.g2, assemble_cell_load, slice(None)),
-            g3=assembled(self.g3, assemble_edge_load, free),
+            g1=assembled(self.g1, assemble_edge_load, modes.edges_to_modes),
+            g2=assembled(self.g2, assemble_cell_load, modes.cells_to_modes),
+            g3=assembled(self.g3, assemble_edge_load, modes.edges_to_modes),
         )
 
 
 class StepOperator:
-    """Factorized step matrix and reduced edge mass matrix on the free edge dofs,
-    with the transposed curl ``curl_t`` (cells to free edges) stored once."""
+    """The step matrix and the edge mass matrix in the mesh's eigenbasis.
+
+    Per H mode the step matrix is diag(d) + s c c^T on its (E_x, E_y) modes,
+    with d = ((eps_inf + delta_eps*w0)/tau) * mass, c the curl factors and
+    s = tau / (4 area); Sherman-Morrison inverts it in closed form.
+    """
 
     def __init__(self, ops: AssembledOperators, params: HNParams, tau: float, w0: float):
         if w0 <= 0.0:
             raise ValueError(f"leading weight w0 must be positive, got {w0}")
-        inv_mh = sp.diags(1.0 / ops.m_h_diag)
-        self.curl_t = ops.c.T.tocsr()
-        self.curlcurl = (self.curl_t @ inv_mh @ ops.c).tocsr()
-        self.matrix = (
-            ((params.eps_inf + params.delta_eps * w0) / tau) * ops.m_e
-            + 0.25 * tau * self.curlcurl
-        ).tocsc()
-        empty = self.matrix.shape[0] == 0
-        self._lu = None if empty else _spd_lu(self.matrix)
-        self._mass_lu = None if empty else _spd_lu(ops.m_e.tocsc())
+        modes = ops.mesh.modes
+        self._mass = modes.mass
+        diag = ((params.eps_inf + params.delta_eps * w0) / tau) * modes.mass
+        self._inv_diag = 1.0 / diag
+        self._u = modes.curl / diag
+        s = 0.25 * tau / modes.area
+        self._gain = s / (1.0 + s * (modes.curl * self._u).sum(axis=0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the step system, with one refinement sweep if needed."""
-        if self._lu is None:
-            return np.zeros(0)
-        x = self._lu.solve(rhs)
-        res = self._residual(x, rhs)
-        if res > SOLVER_RTOL:
-            x = x + self._lu.solve(rhs - self.matrix @ x)
-            res = self._residual(x, rhs)
-        if res > SOLVER_RTOL:
-            raise SolveError(f"solver residual {res:.3e} exceeds {SOLVER_RTOL}", residual=res)
-        return x
+        """Solve the step system for a modal E right-hand side."""
+        return rhs * self._inv_diag - self._u * (self._gain * (self._u * rhs).sum(axis=0))
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse of the reduced edge mass matrix."""
-        if self._mass_lu is None:
-            return np.zeros(0)
-        return self._mass_lu.solve(rhs)
-
-    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
-        scale = np.linalg.norm(rhs)
-        if scale == 0.0:
-            return float(np.linalg.norm(self.matrix @ x))
-        return float(np.linalg.norm(self.matrix @ x - rhs) / scale)
-
-
-def _spd_lu(matrix: sp.csc_matrix):
-    """SuperLU factorization in symmetric mode, for an SPD matrix."""
-    return spla.splu(
-        matrix,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+        """Apply the inverse of the edge mass matrix to modal E (or a stack of them)."""
+        return rhs / self._mass
 
 
 @dataclass
 class StepperState:
-    """Mutable run state: fields at level n plus the memory accumulators.
+    """Mutable run state in modal form: E and H at level n plus the memory
+    accumulators.
 
-    Row l of ``acc_e`` holds A_l = sum_{k<=n} r_l^{n-k} e^k on the free edge
-    dofs, entry l of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2,
-    and ``e_norm_sq`` is ||E^n||^2.  Every update multiplies the old sum by
+    ``e`` and ``h`` are modal E and H (see :class:`hnmaxwell.fem.MeshModes`).
+    Row l of ``acc_e`` holds the modal A_l = sum_{k<=n} r_l^{n-k} e^k, entry l
+    of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2, and
+    ``e_norm_sq`` is ||E^n||^2.  Every update multiplies the old sum by
     r_l < 1, so rounding errors made at earlier levels are damped, not grown.
-    ``p_source`` is M_E^{-1} of the g3 loads (None without g3).  The fit holds
-    for levels up to ``memory.order``, which bounds the run.
+    ``p_source`` is modal M_E^{-1} of the g3 loads (None without g3).  The fit
+    holds for levels up to ``memory.order``, which bounds the run.
     """
 
     memory: ExpSum
+    mesh: MaxwellMesh
+    delta_eps: float
     n: int
-    fields: FieldVectors
+    e: np.ndarray
+    h: np.ndarray
     acc_e: np.ndarray
     acc_norm_sq: np.ndarray
     e_norm_sq: float = 0.0
     p_source: AssembledSource | None = None
+
+    @property
+    def fields(self) -> FieldVectors:
+        """E, P and H at level n as dof vectors, with
+        P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n)."""
+        modes = self.mesh.modes
+        p = self.delta_eps * np.tensordot(self.memory.coeffs, self.acc_e, axes=1)
+        if self.p_source is not None:
+            p += self.p_source(self.t)
+        return FieldVectors(
+            e=modes.modes_to_edges(self.e),
+            p=modes.modes_to_edges(p),
+            h=modes.modes_to_cells(self.h),
+        )
 
     @property
     def tau(self) -> float:
@@ -290,23 +272,25 @@ def init_state(
     operator: StepOperator,
     sources: SourceLoads = SourceLoads(),
 ) -> StepperState:
-    """Set up level 0: interpolated E/H and the convolution-consistent P."""
-    mesh = ops.mesh
-    e0 = np.asarray(e0, dtype=float).copy()
-    e0[mesh.boundary_edges] = 0.0
+    """Set up level 0 from the E/H dof vectors (constrained E entries are
+    ignored), with the convolution-consistent P."""
+    modes = ops.mesh.modes
     p_source = None
     if sources.g3 is not None:
-        p_loads = np.array([operator.solve_mass(load) for load in sources.g3.loads])
-        p_source = AssembledSource(sources.g3.factors, p_loads)
+        p_source = AssembledSource(sources.g3.factors, operator.solve_mass(sources.g3.loads))
+    e = modes.edges_to_modes(np.asarray(e0, dtype=float))
     state = StepperState(
         memory=memory,
+        mesh=ops.mesh,
+        delta_eps=params.delta_eps,
         n=0,
-        fields=FieldVectors(e=e0, p=np.zeros(mesh.n_edges), h=np.asarray(h0, dtype=float).copy()),
-        acc_e=np.zeros((memory.rates.size, ops.free_edges.size)),
+        e=e,
+        h=modes.cells_to_modes(np.asarray(h0, dtype=float)),
+        acc_e=np.zeros((memory.rates.size, *e.shape)),
         acc_norm_sq=np.zeros(memory.rates.size),
         p_source=p_source,
     )
-    _close_level(state, ops, params)
+    _close_level(state)
     return state
 
 
@@ -323,54 +307,43 @@ def step(
         raise ValueError(f"state capacity {state.capacity} exhausted at step {m}")
     tau = state.tau
     mem = state.memory
-    free = ops.free_edges
+    modes = ops.mesh.modes
     t_m, t_prev = m * tau, (m - 1) * tau
-    e_prev_free = state.fields.e[free]
-    h_prev = state.fields.h
+    e_prev, h_prev = state.e, state.h
 
     # history increment of the discrete convolution:
     # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l
-    increment = (mem.coeffs * (mem.rates - 1.0)) @ state.acc_e
-    rhs = ops.m_e @ ((params.eps_inf / tau) * e_prev_free - (params.delta_eps / tau) * increment)
-    rhs += operator.curl_t @ h_prev
-    rhs -= 0.25 * tau * (operator.curlcurl @ e_prev_free)
+    increment = np.tensordot(mem.coeffs * (mem.rates - 1.0), state.acc_e, axes=1)
+    rhs = modes.mass * ((params.eps_inf / tau) * e_prev - (params.delta_eps / tau) * increment)
+    # C^T (h - (tau/4) M_H^{-1} C e), plus the g2 term inside the bracket
+    h_part = h_prev - 0.25 * tau * (modes.curl * e_prev).sum(axis=0) / modes.area
 
     b2 = None
     if sources.g2 is not None:
         b2 = 0.5 * (sources.g2(t_m) + sources.g2(t_prev))
-        rhs += 0.5 * tau * (operator.curl_t @ (b2 / ops.m_h_diag))
+        h_part += 0.5 * tau * b2 / modes.area
+    rhs += modes.curl * h_part
     if sources.g1 is not None:
         rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
     if sources.g3 is not None:
         rhs -= (sources.g3(t_m) - sources.g3(t_prev)) / tau
 
-    e_full = np.zeros(ops.mesh.n_edges)
-    e_full[free] = operator.solve(rhs)
-
-    h_new = h_prev - 0.5 * tau * (ops.c_full @ (e_full + state.fields.e)) / ops.m_h_diag
+    state.e = operator.solve(rhs)
+    state.h = h_prev - 0.5 * tau * (modes.curl * (state.e + e_prev)).sum(axis=0) / modes.area
     if b2 is not None:
-        h_new += tau * b2 / ops.m_h_diag
-
-    state.fields = FieldVectors(e=e_full, p=np.zeros(ops.mesh.n_edges), h=h_new)
+        state.h += tau * b2 / modes.area
     state.n = m
-    _close_level(state, ops, params)
+    _close_level(state)
     return state
 
 
-def _close_level(state: StepperState, ops: AssembledOperators, params: HNParams) -> None:
-    """Add e^n and ||E^n||^2 of the current level to the accumulators, then
-    recover P^n from the constitutive relation."""
-    free = ops.free_edges
-    e = state.fields.e
+def _close_level(state: StepperState) -> None:
+    """Add e^n and ||E^n||^2 of the current level to the accumulators."""
     rates = state.memory.rates
-    state.e_norm_sq = float(e @ (ops.m_e_full @ e))
-    state.acc_e *= rates[:, None]
-    state.acc_e += e[free]
+    state.e_norm_sq = float(np.vdot(state.e, state.mesh.modes.mass * state.e))
+    state.acc_e *= rates[:, None, None, None]
+    state.acc_e += state.e
     state.acc_norm_sq = rates * state.acc_norm_sq + state.e_norm_sq
-    p = params.delta_eps * (state.memory.coeffs @ state.acc_e)
-    if state.p_source is not None:
-        p += state.p_source(state.t)
-    state.fields.p[free] = p
 
 
 @dataclass(frozen=True)
@@ -390,7 +363,7 @@ def energy_components(
 ) -> tuple[float, float, float]:
     """(eps_inf ||E^n||^2, ||H^n||^2, delta_eps sum_k w_{n-k} ||E^k||^2)."""
     term_e = params.eps_inf * state.e_norm_sq
-    term_h = float(state.fields.h @ (ops.m_h_diag * state.fields.h))
+    term_h = ops.mesh.modes.area * float(np.vdot(state.h, state.h))
     term_hist = params.delta_eps * float(state.memory.coeffs @ state.acc_norm_sq)
     return term_e, term_h, term_hist
 

@@ -111,13 +111,15 @@ def test_non_cm_scheme_exits_2(tmp_path, capsys):
 
 def test_stepper_run_leaves_scipy_optimize_unimported(tmp_path):
     # the exponential-sum fit carries its own NNLS; importing scipy.optimize
-    # would add a quarter second to every run
+    # would add a quarter second to every run.  The stepper solves in the
+    # mesh's eigenbasis, so scipy.sparse.linalg (about 30 ms) stays out too.
     code = (
         "import sys\n"
         "from hnmaxwell.cli import main\n"
         f"main(['energy', '--alpha', '0.5', '--beta', '0.5', '--tau', '0.25', '--nx', '2', "
         f"'--ny', '2', '--out', {str(tmp_path)!r}])\n"
         "assert 'scipy.optimize' not in sys.modules\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 

@@ -78,17 +78,37 @@ def bdf2_recurrence_oracle(alpha, beta, tau, n, digits=40):
 
 def _cauchy_dft(genfun, n, radius):
     m_pts = 4 * max(n, 1)
+    if m_pts & (m_pts - 1):
+        raise ValueError(f"4n = {m_pts} sample points must be a power of two")
     digits = int(n * math.log10(1.0 / radius)) + 30
     with mp.workdps(digits):
         r = mp.mpf(radius)
         twiddle = [mp.expjpi(mp.mpf(2 * k) / m_pts) for k in range(m_pts)]
-        samples = [genfun(r * twiddle[m]) for m in range(m_pts)]
+        # real Taylor coefficients: the lower half circle mirrors the upper one
+        upper = [genfun(r * twiddle[m]) for m in range(m_pts // 2 + 1)]
+        samples = upper + [mp.conj(v) for v in upper[-2:0:-1]]
+        spectrum = _fft(samples, twiddle)
         out = np.empty(n + 1)
         for j in range(n + 1):
-            acc = mp.mpc(0)
-            for m in range(m_pts):
-                acc += samples[m] * twiddle[(-j * m) % m_pts]
-            out[j] = float(mp.re(acc) / (m_pts * r**j))
+            out[j] = float(mp.re(spectrum[j]) / (m_pts * r**j))
+    return out
+
+
+def _fft(x, twiddle):
+    """sum_m x[m] twiddle[-j m mod M] for j < len(x), by recursive radix-2
+    decimation in time; ``twiddle`` holds the M-th roots of unity, M a power
+    of two that len(x) divides."""
+    size = len(x)
+    if size == 1:
+        return list(x)
+    even, odd = _fft(x[0::2], twiddle), _fft(x[1::2], twiddle)
+    stride = len(twiddle) // size
+    half = size // 2
+    out = [None] * size
+    for j in range(half):
+        t = twiddle[(-j * stride) % len(twiddle)] * odd[j]
+        out[j] = even[j] + t
+        out[j + half] = even[j] - t
     return out
 
 

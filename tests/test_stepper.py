@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,6 @@ from hnmaxwell.quadrature import cm2_weights, fit_exp_sum
 from hnmaxwell.stepper import (
     HNParams,
     SourceLoads,
-    SourceSet,
     StepOperator,
     decay_initial_E,
     decay_initial_H,
@@ -52,26 +52,41 @@ def cm2_memory(alpha, beta, tau, n):
     return fit_exp_sum(cm2_weights(alpha, beta, tau, n))
 
 
-class TestStepOperator:
-    def test_matrix_symmetric(self):
-        ops = assemble(build_mesh(8, 8))
-        op = StepOperator(ops, default_params(), 0.1, 0.5)
-        diff = (op.matrix - op.matrix.T).tocoo()
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-14
+def reduced_matrices(ops, params, tau, w0):
+    """The step matrix and the edge mass matrix on the free edge dofs, built
+    from the assembled sparse matrices."""
+    free = ops.free_edges
+    m_e = ops.m_e_full[free][:, free]
+    c = ops.c_full[:, free]
+    curlcurl = c.T @ sp.diags(1.0 / ops.m_h_diag) @ c
+    step_matrix = ((params.eps_inf + params.delta_eps * w0) / tau) * m_e + 0.25 * tau * curlcurl
+    return step_matrix.tocsc(), m_e.tocsc()
 
-    def test_solver_residual(self):
-        ops = assemble(build_mesh(32, 32))
-        op = StepOperator(ops, default_params(), 0.05, 0.3)
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=op.matrix.shape[0])
-        x = op.solve(b)
-        assert np.linalg.norm(op.matrix @ x - b) / np.linalg.norm(b) <= 1e-12
+
+class TestStepOperator:
+    @pytest.mark.parametrize("nx,ny", [(32, 32), (5, 7), (1, 4), (4, 1), (1, 1)])
+    def test_modal_solves_match_sparse_matrices(self, nx, ny):
+        mesh = build_mesh(nx, ny)
+        ops = assemble(mesh)
+        params = default_params(eps_inf=1.5, delta_eps=2.0)
+        op = StepOperator(ops, params, 0.05, 0.3)
+        step_matrix, m_e = reduced_matrices(ops, params, 0.05, 0.3)
+        free, modes = ops.free_edges, mesh.modes
+        rng = np.random.default_rng(nx * 100 + ny)
+        for solve, matrix in ((op.solve, step_matrix), (op.solve_mass, m_e)):
+            for _ in range(3):
+                b = np.zeros(mesh.n_edges)
+                b[free] = rng.normal(size=free.size)
+                x = modes.modes_to_edges(solve(modes.edges_to_modes(b)))
+                assert np.array_equal(x[mesh.boundary_edges], np.zeros(mesh.boundary_edges.size))
+                residual = np.linalg.norm(matrix @ x[free] - b[free])
+                assert residual <= 1e-12 * np.linalg.norm(b[free])
 
     def test_empty_interior_mesh(self):
-        # 1x1 mesh: every edge dof constrained, the solve is trivial
+        # 1x1 mesh: every edge dof constrained, modal E is all padding
         ops = assemble(build_mesh(1, 1))
         op = StepOperator(ops, default_params(), 0.1, 0.5)
-        assert op.solve(np.zeros(0)).size == 0
+        assert np.array_equal(op.solve(np.zeros((2, 1, 1))), np.zeros((2, 1, 1)))
 
     def test_positive_leading_weight_required(self):
         ops = assemble(build_mesh(2, 2))
@@ -260,47 +275,86 @@ class TestEnergy:
 
 
 def dense_history_run(ops, params, memory, operator, sources, e0, h0):
-    """The dense-history stepper on the materialized weights w_hat: every level
-    stores M_E e^k on the free dofs and ||E^k||^2, the step convolves the whole
-    stored history, and P is recovered by a mass solve.  Yields (e, h, p,
-    energy) per level."""
+    """The dense-history stepper on the materialized weights w_hat, in the
+    mesh's eigenbasis: every level stores modal M_E e^k and ||E^k||^2, the step
+    convolves the whole stored history, and P is recovered by a mass solve.
+    Yields (e, h, p, energy) per level, fields as dof vectors."""
+    modes = ops.mesh.modes
     w = memory.weights()
     tau, n_steps = memory.tau, memory.order
-    free = ops.free_edges
-    me_hist = np.zeros((n_steps + 1, free.size))
+    me_hist = np.zeros((n_steps + 1, *modes.mass.shape))
     norm_sq = np.zeros(n_steps + 1)
-    e = e0.copy()
-    e[ops.mesh.boundary_edges] = 0.0
-    h = h0.copy()
+    e, h = modes.edges_to_modes(e0), modes.cells_to_modes(h0)
+    curl = lambda e: (modes.curl * e).sum(axis=0)
 
     def close(n):
-        me = ops.m_e_full @ e
-        me_hist[n] = me[free]
-        norm_sq[n] = e @ me
-        p = np.zeros(ops.mesh.n_edges)
-        p[free] = operator.solve_mass(
-            params.delta_eps * (w[n::-1] @ me_hist[: n + 1]) + sources.g3(n * tau)
+        me_hist[n] = modes.mass * e
+        norm_sq[n] = np.vdot(e, me_hist[n])
+        p = operator.solve_mass(
+            params.delta_eps * np.tensordot(w[n::-1], me_hist[: n + 1], axes=1)
+            + sources.g3(n * tau)
         )
         total = (
             params.eps_inf * norm_sq[n]
-            + h @ (ops.m_h_diag * h)
+            + modes.area * np.vdot(h, h)
             + params.delta_eps * (w[n::-1] @ norm_sq[: n + 1])
         )
-        return e, h, p, total
+        return modes.modes_to_edges(e), modes.modes_to_cells(h), modes.modes_to_edges(p), total
 
     yield close(0)
     for m in range(1, n_steps + 1):
         t_m, t_prev = m * tau, (m - 1) * tau
         dw = w[m:0:-1] - w[m - 1 :: -1]
-        rhs = (params.eps_inf / tau) * me_hist[m - 1] - (params.delta_eps / tau) * (dw @ me_hist[:m])
-        rhs += ops.c.T @ h - 0.25 * tau * (operator.curlcurl @ e[free])
+        rhs = (params.eps_inf / tau) * me_hist[m - 1]
+        rhs -= (params.delta_eps / tau) * np.tensordot(dw, me_hist[:m], axes=1)
         b2 = 0.5 * (sources.g2(t_m) + sources.g2(t_prev))
-        rhs += 0.5 * tau * (ops.c.T @ (b2 / ops.m_h_diag))
+        rhs += modes.curl * (h - 0.25 * tau * curl(e) / modes.area + 0.5 * tau * b2 / modes.area)
         rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
         rhs -= (sources.g3(t_m) - sources.g3(t_prev)) / tau
-        e_new = np.zeros(ops.mesh.n_edges)
-        e_new[free] = operator.solve(rhs)
-        h = h - 0.5 * tau * (ops.c_full @ (e_new + e)) / ops.m_h_diag + tau * b2 / ops.m_h_diag
+        e_new = operator.solve(rhs)
+        h = h - 0.5 * tau * curl(e_new + e) / modes.area + tau * b2 / modes.area
+        e = e_new
+        yield close(m)
+
+
+def sparse_reference_run(ops, params, memory, sources, e0, h0):
+    """An independent dense-history stepper on the sparse matrices restricted
+    to the free edge dofs: one spsolve per step and per P recovery, and the
+    manufactured loads assembled pointwise at every level.  Yields (e, h, p)
+    per level as dof vectors."""
+    mesh, free, m_h = ops.mesh, ops.free_edges, ops.m_h_diag
+    w = memory.weights()
+    tau, n_steps = memory.tau, memory.order
+    step_matrix, m_e = reduced_matrices(ops, params, tau, w[0])
+    c = ops.c_full[:, free].tocsr()
+    edge_load = lambda g, t: assemble_edge_load(mesh, g, t)[free]
+    e, h = e0[free], h0.copy()
+    me_hist = []
+
+    def expand(field):
+        full = np.zeros(mesh.n_edges)
+        full[free] = field
+        return full
+
+    def close(n):
+        me_hist.append(m_e @ e)
+        conv = sum(w[n - k] * me_hist[k] for k in range(n + 1))
+        p = spla.spsolve(m_e, params.delta_eps * conv + edge_load(sources.g3, n * tau))
+        return expand(e), h, expand(p)
+
+    yield close(0)
+    for m in range(1, n_steps + 1):
+        t_m, t_prev = m * tau, (m - 1) * tau
+        increment = sum((w[m - k] - w[m - 1 - k]) * me_hist[k] for k in range(m))
+        b2 = 0.5 * (
+            assemble_cell_load(mesh, sources.g2, t_m) + assemble_cell_load(mesh, sources.g2, t_prev)
+        )
+        rhs = (params.eps_inf / tau) * (m_e @ e) - (params.delta_eps / tau) * increment
+        rhs += c.T @ h - 0.25 * tau * (c.T @ ((c @ e) / m_h)) + 0.5 * tau * (c.T @ (b2 / m_h))
+        rhs += 0.5 * (edge_load(sources.g1, t_m) + edge_load(sources.g1, t_prev))
+        rhs -= (edge_load(sources.g3, t_m) - edge_load(sources.g3, t_prev)) / tau
+        e_new = spla.spsolve(step_matrix, rhs)
+        h = h - 0.5 * tau * (c @ (e_new + e)) / m_h + tau * b2 / m_h
         e = e_new
         yield close(m)
 
@@ -326,6 +380,29 @@ class TestDenseHistoryOracle:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert energy(state, ops, params) == pytest.approx(total, rel=1e-12)
         assert state.n == n_steps
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (5, 7), (1, 4), (3, 1)])
+    def test_trajectory_matches_sparse_reference(self, nx, ny):
+        mesh = build_mesh(nx, ny)
+        ops = assemble(mesh)
+        params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8)
+        n_steps = 40
+        memory = cm2_memory(0.3, 0.8, 1.0 / n_steps, n_steps)
+        op = StepOperator(ops, params, memory.tau, memory.w0)
+        source_set = manufactured_sources(params)
+        loads = source_set.assemble(ops)
+        e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
+        state = init_state(ops, params, memory, e0, h0, op, loads)
+        diffs, sizes = np.zeros((n_steps + 1, 3)), np.zeros((n_steps + 1, 3))
+        for level, want in enumerate(sparse_reference_run(ops, params, memory, source_set, e0, h0)):
+            if level > 0:
+                step(state, ops, params, op, loads)
+            got = state.fields
+            for i, (g, r) in enumerate(zip((got.e, got.h, got.p), want)):
+                diffs[level, i] = np.linalg.norm(g - r)
+                sizes[level, i] = np.linalg.norm(r)
+        # E starts at 0, so compare with each field's largest size over the run
+        assert (diffs.max(axis=0) <= 1e-12 * sizes.max(axis=0)).all()
 
     def test_zero_g3_needs_no_mass_solve(self, monkeypatch):
         # zero sources: P comes from the accumulators alone
@@ -374,19 +451,15 @@ class TestManufacturedSources:
         ops = assemble(mesh)
         src = manufactured_sources(default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8))
         loads = src.assemble(ops)
-        free = ops.free_edges
+        modes = mesh.modes
         for t in np.random.default_rng(3).uniform(0.0, 2.0, size=4):
             t = float(t)
             for got, want in (
-                (loads.g1(t), assemble_edge_load(mesh, src.g1, t)[free]),
-                (loads.g2(t), assemble_cell_load(mesh, src.g2, t)),
-                (loads.g3(t), assemble_edge_load(mesh, src.g3, t)[free]),
+                (loads.g1(t), modes.edges_to_modes(assemble_edge_load(mesh, src.g1, t))),
+                (loads.g2(t), modes.cells_to_modes(assemble_cell_load(mesh, src.g2, t))),
+                (loads.g3(t), modes.edges_to_modes(assemble_edge_load(mesh, src.g3, t))),
             ):
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-    def test_zero_source_set(self):
-        assert SourceSet.zero().is_zero
-        assert not manufactured_sources(default_params()).is_zero
 
 
 class TestSchemeConsistency:
@@ -435,7 +508,7 @@ class TestSchemeConsistency:
         conv = sum(w[m - k] * (me @ eI[k]) for k in range(m + 1))
         r3 = ((me @ pI_m) - params.delta_eps * conv - b3)[free]
 
-        mass_lu = spla.splu(ops.m_e.tocsc())
+        mass_lu = spla.splu(ops.m_e_full[free][:, free].tocsc())
         dual_e = lambda r: math.sqrt(max(r @ mass_lu.solve(r), 0.0))
         dual_h = math.sqrt(r2 @ (r2 / ops.m_h_diag))
         return dual_e(r1), dual_h, dual_e(r3)
