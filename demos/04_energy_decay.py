@@ -18,10 +18,8 @@ deliberately huge step.
 import numpy as np
 
 from hnmaxwell import HNParams, build_mesh, run_energy
-from hnmaxwell.fem import assemble
 
 mesh = build_mesh(32, 32)
-ops = assemble(mesh)
 
 print("16 runs, 32x32 mesh, tau = 0.01, T = 1, zero sources")
 print()
@@ -29,7 +27,7 @@ print("beta   alpha   E^0        E^N        max step rise   monotone")
 for beta in (0.1, 0.4, 0.7, 1.0):
     for alpha in (0.1, 0.3, 0.5, 0.9):
         params = HNParams(eps_inf=1.0, delta_eps=1.0, alpha=alpha, beta=beta)
-        tr = run_energy(mesh, params, tau=0.01, t_final=1.0, ops=ops)
+        tr = run_energy(mesh, params, tau=0.01, t_final=1.0)
         rise = float((tr.total[1:] - tr.total[:-1]).max())
         ok = "yes" if rise <= 1e-10 * tr.total[0] else "NO"
         print(
@@ -42,7 +40,7 @@ print("Smaller alpha or beta = heavier fading memory = faster dissipation.")
 print()
 print("A huge step on the same smooth data: tau = 0.5 (two steps)")
 params = HNParams(eps_inf=1.0, delta_eps=1.0, alpha=0.5, beta=0.5)
-tr = run_energy(mesh, params, tau=0.5, t_final=1.0, ops=ops)
+tr = run_energy(mesh, params, tau=0.5, t_final=1.0)
 print("  energies:", np.array2string(tr.total, precision=6))
 print("  still monotonically decaying on this data.")
 print()

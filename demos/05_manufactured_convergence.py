@@ -12,10 +12,8 @@ Roughly a minute of runtime on a laptop-class machine.
 """
 
 from hnmaxwell import HNParams, build_mesh, run_convergence
-from hnmaxwell.fem import assemble
 
 mesh = build_mesh(64, 64)
-ops = assemble(mesh)
 taus = (1 / 10, 1 / 20, 1 / 40)
 
 print("64x64 mesh, reference step 1/320, max-over-time L2 differences")
@@ -25,7 +23,7 @@ for alpha, beta, label in (
     (0.5, 1.0, "Cole-Cole special case"),
 ):
     params = HNParams(eps_inf=1.0, delta_eps=1.0, alpha=alpha, beta=beta)
-    rep = run_convergence(mesh, params, taus, mode="vs_reference", tau_ref=1 / 320, ops=ops)
+    rep = run_convergence(mesh, params, taus, mode="vs_reference", tau_ref=1 / 320)
     print()
     print(f"(alpha, beta) = ({alpha}, {beta})  [{label}]")
     print("  tau     err(E)        rate    err(H)        rate    err(P)        rate")

@@ -132,19 +132,16 @@ def check_energy_decay() -> CheckResult:
     tau = 0.5 run."""
     start = time.perf_counter()
     mesh = build_mesh(32, 32)
-    ops = assemble(mesh)
     worst = -np.inf
     ok = True
     for beta in (0.1, 0.4, 0.7, 1.0):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             params = HNParams(eps_inf=1.0, delta_eps=1.0, alpha=alpha, beta=beta)
-            tr = run_energy(mesh, params, tau=0.01, t_final=1.0, ops=ops)
+            tr = run_energy(mesh, params, tau=0.01, t_final=1.0)
             rise = float((tr.total[1:] - tr.total[:-1]).max()) / tr.total[0]
             worst = max(worst, rise)
             ok &= rise <= 1e-10
-    coarse = run_energy(
-        mesh, HNParams(1.0, 1.0, 0.5, 0.5), tau=0.5, t_final=1.0, ops=ops
-    )
+    coarse = run_energy(mesh, HNParams(1.0, 1.0, 0.5, 0.5), tau=0.5, t_final=1.0)
     coarse_rise = float((coarse.total[1:] - coarse.total[:-1]).max()) / coarse.total[0]
     ok &= coarse_rise <= 1e-10
     detail = (
@@ -158,15 +155,12 @@ def check_temporal_convergence() -> CheckResult:
     fine-step reference trajectory (64x64 mesh, tau_ref = 1/320)."""
     start = time.perf_counter()
     mesh = build_mesh(64, 64)
-    ops = assemble(mesh)
     taus = (1 / 10, 1 / 20, 1 / 40)
     ok = True
     details = []
     for alpha, beta in ((0.1, 0.1), (0.5, 0.5), (0.5, 1.0)):
         params = HNParams(eps_inf=1.0, delta_eps=1.0, alpha=alpha, beta=beta)
-        report = run_convergence(
-            mesh, params, taus, mode="vs_reference", tau_ref=1 / 320, ops=ops
-        )
+        report = run_convergence(mesh, params, taus, mode="vs_reference", tau_ref=1 / 320)
         ok &= all(1.8 <= r <= 2.2 for r in report.rate_e)
         details.append(
             f"(a={alpha},b={beta}) E-rates {', '.join(f'{r:.2f}' for r in report.rate_e)}"

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .fem import assemble, build_mesh
+from .fem import build_mesh
 from .monotonicity import default_grid, indicator_rho, sweep_grid
 from .prabhakar import SeriesConvergenceError, hn_kernel
 from .quadrature import SCHEMES, NotCompletelyMonotoneError, generate_weights
@@ -312,14 +312,11 @@ def _run_convergence(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_energy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     mesh = build_mesh(cfg.nx, cfg.ny)
-    ops = assemble(mesh)
     paths = []
     for beta in cfg.betas:
         for alpha in cfg.alphas:
             params = HNParams(cfg.eps_inf, cfg.delta_eps, alpha, beta)
-            trace = run_energy(
-                mesh, params, cfg.taus[0], t_final=cfg.t_final, scheme=cfg.scheme, ops=ops
-            )
+            trace = run_energy(mesh, params, cfg.taus[0], t_final=cfg.t_final, scheme=cfg.scheme)
             rows = [
                 (
                     str(int(trace.n[i])),

@@ -240,6 +240,14 @@ class MeshModes:
         """Cell-dof vector of modal H."""
         return (self.dct_y.T @ h_hat @ self.dct_x).ravel()
 
+    def edge_norm_sq(self, e_hat: np.ndarray) -> float:
+        """Squared L2 norm of modal E (Parseval: e^T M_E e of its edge dofs)."""
+        return float(np.vdot(e_hat, self.mass * e_hat))
+
+    def cell_norm_sq(self, h_hat: np.ndarray) -> float:
+        """Squared L2 norm of modal H."""
+        return self.area * float(np.vdot(h_hat, h_hat))
+
 
 @dataclass
 class FieldVectors:
@@ -258,8 +266,7 @@ class AssembledOperators:
     """Mass and curl matrices of the edge/cell pair of spaces.
 
     They act on all edges and define the discretization; the reduced system
-    is their restriction to ``free_edges`` (fields keep zeros on constrained
-    entries, so norms need no restriction).  The stepper uses their
+    is their restriction to ``mesh.free_edges``.  The stepper uses their
     eigenbasis, :attr:`MaxwellMesh.modes`, instead.
     """
 
@@ -268,15 +275,6 @@ class AssembledOperators:
     m_h_diag: np.ndarray
     c_full: sp.csr_matrix
     grad_full: sp.csr_matrix
-    free_edges: np.ndarray
-
-    def edge_norm(self, v: np.ndarray) -> float:
-        """L2 norm of an edge-dof field."""
-        return float(np.sqrt(max(v @ (self.m_e_full @ v), 0.0)))
-
-    def cell_norm(self, v: np.ndarray) -> float:
-        """L2 norm of a cell-dof field."""
-        return float(np.sqrt(max(v @ (self.m_h_diag * v), 0.0)))
 
 
 def build_mesh(nx: int, ny: int) -> MaxwellMesh:
@@ -344,7 +342,6 @@ def assemble(mesh: MaxwellMesh) -> AssembledOperators:
         m_h_diag=np.full(mesh.n_cells, area),
         c_full=c_full,
         grad_full=grad_full,
-        free_edges=mesh.free_edges,
     )
 
 

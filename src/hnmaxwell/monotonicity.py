@@ -60,17 +60,7 @@ def alternating_diff(w: np.ndarray, k: int, j: int, compensated: bool = False) -
     w = np.asarray(w, dtype=float)
     if k < 0 or j < 0 or j + k >= w.size:
         raise IndexError(f"difference (k={k}, j={j}) out of range for {w.size} weights")
-    terms = [(-1.0) ** n * math.comb(k, n) * w[n + j] for n in range(k + 1)]
-    if not compensated:
-        return float(sum(terms))
-    total = 0.0
-    comp = 0.0
-    for term in terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    return float(_diff_all(w[j : j + k + 1], k, compensated)[0])
 
 
 def _diff_all(w: np.ndarray, k: int, compensated: bool) -> np.ndarray:

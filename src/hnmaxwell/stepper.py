@@ -22,10 +22,13 @@ The whole trajectory runs in the mesh's sine/cosine eigenbasis
 C maps each E mode onto one H mode: A is diagonal plus rank one on the at
 most two E modes of each H mode and is solved in closed form
 (Sherman-Morrison), M_E^{-1} is a division, H follows explicitly, the
-norms are sums over modes weighted by the diagonal masses (Parseval), and
-P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n) is formed only when the
-fields are read back.  This relies on the uniform tensor mesh that
-:mod:`hnmaxwell.fem` builds; a non-uniform mesh would need a sparse solve.
+norms are sums over modes weighted by the diagonal masses (Parseval,
+:meth:`hnmaxwell.fem.MeshModes.edge_norm_sq`), and
+P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n) is formed only when it is
+read.  This relies on the uniform tensor mesh that :mod:`hnmaxwell.fem`
+builds; a non-uniform mesh would need a sparse solve.  No sparse matrix is
+assembled: the state is built from the mesh, and ``step(state)`` reads
+nothing else.
 With zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
@@ -40,9 +43,10 @@ changes sign across the step (rough fields, large tau).
 
 Each source g1 (Ampere), g2 (Faraday) and g3 is separable, sum_i f_i(t) s_i(x, y);
 :meth:`SourceSet.assemble` turns every s_i into a load vector L_i once, and a
-step forms G(t) = sum_i f_i(t) L_i, all in modal form.  g1 and g2 enter as
-endpoint averages (G(t_m) + G(t_{m-1}))/2; g3 enters at t_m, and
-M_E^{-1} L_i of its loads is formed once per trajectory for the polarization.
+step forms G(t_m) = sum_i f_i(t_m) L_i once, all in modal form, and keeps it
+in the state for the next step.  g1 and g2 enter as endpoint averages
+(G(t_m) + G(t_{m-1}))/2, g3 as the difference G(t_m) - G(t_{m-1}) in the
+step and through M_E^{-1} G(t_n) in P.
 """
 
 from __future__ import annotations
@@ -54,10 +58,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fem import (
-    AssembledOperators,
     FieldVectors,
     MaxwellMesh,
-    assemble,
     assemble_cell_load,
     assemble_edge_load,
     interpolate_E,
@@ -154,6 +156,10 @@ class SourceLoads:
     g2: AssembledSource | None = None
     g3: AssembledSource | None = None
 
+    def at(self, t: float) -> tuple[np.ndarray | None, ...]:
+        """Modal (g1, g2, g3) at t, None for a zero source."""
+        return tuple(None if g is None else g(t) for g in (self.g1, self.g2, self.g3))
+
 
 @dataclass(frozen=True)
 class SourceSet:
@@ -163,15 +169,15 @@ class SourceSet:
     g2: Separable | None = None
     g3: Separable | None = None
 
-    def assemble(self, ops: AssembledOperators) -> SourceLoads:
+    def assemble(self, mesh: MaxwellMesh) -> SourceLoads:
         """Modal load of every spatial field, each assembled and transformed once."""
-        modes = ops.mesh.modes
+        modes = mesh.modes
 
         def assembled(g, assemble_load, to_modes):
             if g is None:
                 return None
             loads = [
-                to_modes(assemble_load(ops.mesh, lambda x, y, t, s=s: s(x, y), 0.0))
+                to_modes(assemble_load(mesh, lambda x, y, t, s=s: s(x, y), 0.0))
                 for _, s in g.terms
             ]
             return AssembledSource(tuple(f for f, _ in g.terms), np.array(loads))
@@ -191,10 +197,10 @@ class StepOperator:
     s = tau / (4 area); Sherman-Morrison inverts it in closed form.
     """
 
-    def __init__(self, ops: AssembledOperators, params: HNParams, tau: float, w0: float):
+    def __init__(self, mesh: MaxwellMesh, params: HNParams, tau: float, w0: float):
         if w0 <= 0.0:
             raise ValueError(f"leading weight w0 must be positive, got {w0}")
-        modes = ops.mesh.modes
+        modes = mesh.modes
         self._mass = modes.mass
         diag = ((params.eps_inf + params.delta_eps * w0) / tau) * modes.mass
         self._inv_diag = 1.0 / diag
@@ -213,40 +219,49 @@ class StepOperator:
 
 @dataclass
 class StepperState:
-    """Mutable run state in modal form: E and H at level n plus the memory
-    accumulators.
+    """Mutable run state in modal form: E and H at level n, the memory
+    accumulators, the source values at t_n, and everything a step reads.
 
     ``e`` and ``h`` are modal E and H (see :class:`hnmaxwell.fem.MeshModes`).
     Row l of ``acc_e`` holds the modal A_l = sum_{k<=n} r_l^{n-k} e^k, entry l
     of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2, and
     ``e_norm_sq`` is ||E^n||^2.  Every update multiplies the old sum by
     r_l < 1, so rounding errors made at earlier levels are damped, not grown.
-    ``p_source`` is modal M_E^{-1} of the g3 loads (None without g3).  The fit
-    holds for levels up to ``memory.order``, which bounds the run.
+    ``g1``, ``g2`` and ``g3`` are the modal sources at t_n (None where
+    ``sources`` has none), so each source is evaluated once per level.  The
+    fit holds for levels up to ``memory.order``, which bounds the run.
     """
 
     memory: ExpSum
     mesh: MaxwellMesh
-    delta_eps: float
+    params: HNParams
+    operator: StepOperator
+    sources: SourceLoads
     n: int
     e: np.ndarray
     h: np.ndarray
     acc_e: np.ndarray
     acc_norm_sq: np.ndarray
     e_norm_sq: float = 0.0
-    p_source: AssembledSource | None = None
+    g1: np.ndarray | None = None
+    g2: np.ndarray | None = None
+    g3: np.ndarray | None = None
+
+    @property
+    def p(self) -> np.ndarray:
+        """Modal P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n)."""
+        p = self.params.delta_eps * np.tensordot(self.memory.coeffs, self.acc_e, axes=1)
+        if self.g3 is not None:
+            p += self.operator.solve_mass(self.g3)
+        return p
 
     @property
     def fields(self) -> FieldVectors:
-        """E, P and H at level n as dof vectors, with
-        P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n)."""
+        """E, P and H at level n as dof vectors."""
         modes = self.mesh.modes
-        p = self.delta_eps * np.tensordot(self.memory.coeffs, self.acc_e, axes=1)
-        if self.p_source is not None:
-            p += self.p_source(self.t)
         return FieldVectors(
             e=modes.modes_to_edges(self.e),
-            p=modes.modes_to_edges(p),
+            p=modes.modes_to_edges(self.p),
             h=modes.modes_to_cells(self.h),
         )
 
@@ -264,52 +279,46 @@ class StepperState:
 
 
 def init_state(
-    ops: AssembledOperators,
+    mesh: MaxwellMesh,
     params: HNParams,
     memory: ExpSum,
     e0: np.ndarray,
     h0: np.ndarray,
-    operator: StepOperator,
     sources: SourceLoads = SourceLoads(),
 ) -> StepperState:
     """Set up level 0 from the E/H dof vectors (constrained E entries are
     ignored), with the convolution-consistent P."""
-    modes = ops.mesh.modes
-    p_source = None
-    if sources.g3 is not None:
-        p_source = AssembledSource(sources.g3.factors, operator.solve_mass(sources.g3.loads))
+    modes = mesh.modes
     e = modes.edges_to_modes(np.asarray(e0, dtype=float))
+    g1, g2, g3 = sources.at(0.0)
     state = StepperState(
         memory=memory,
-        mesh=ops.mesh,
-        delta_eps=params.delta_eps,
+        mesh=mesh,
+        params=params,
+        operator=StepOperator(mesh, params, memory.tau, memory.w0),
+        sources=sources,
         n=0,
         e=e,
         h=modes.cells_to_modes(np.asarray(h0, dtype=float)),
         acc_e=np.zeros((memory.rates.size, *e.shape)),
         acc_norm_sq=np.zeros(memory.rates.size),
-        p_source=p_source,
+        g1=g1,
+        g2=g2,
+        g3=g3,
     )
     _close_level(state)
     return state
 
 
-def step(
-    state: StepperState,
-    ops: AssembledOperators,
-    params: HNParams,
-    operator: StepOperator,
-    sources: SourceLoads = SourceLoads(),
-) -> StepperState:
+def step(state: StepperState) -> StepperState:
     """Advance the state from level n to n+1 in place (and return it)."""
     m = state.n + 1
     if m > state.capacity:
         raise ValueError(f"state capacity {state.capacity} exhausted at step {m}")
-    tau = state.tau
-    mem = state.memory
-    modes = ops.mesh.modes
-    t_m, t_prev = m * tau, (m - 1) * tau
+    tau, mem, params = state.tau, state.memory, state.params
+    modes = state.mesh.modes
     e_prev, h_prev = state.e, state.h
+    g1, g2, g3 = state.sources.at(m * tau)
 
     # history increment of the discrete convolution:
     # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l
@@ -319,20 +328,21 @@ def step(
     h_part = h_prev - 0.25 * tau * (modes.curl * e_prev).sum(axis=0) / modes.area
 
     b2 = None
-    if sources.g2 is not None:
-        b2 = 0.5 * (sources.g2(t_m) + sources.g2(t_prev))
+    if g2 is not None:
+        b2 = 0.5 * (g2 + state.g2)
         h_part += 0.5 * tau * b2 / modes.area
     rhs += modes.curl * h_part
-    if sources.g1 is not None:
-        rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
-    if sources.g3 is not None:
-        rhs -= (sources.g3(t_m) - sources.g3(t_prev)) / tau
+    if g1 is not None:
+        rhs += 0.5 * (g1 + state.g1)
+    if g3 is not None:
+        rhs -= (g3 - state.g3) / tau
 
-    state.e = operator.solve(rhs)
+    state.e = state.operator.solve(rhs)
     state.h = h_prev - 0.5 * tau * (modes.curl * (state.e + e_prev)).sum(axis=0) / modes.area
     if b2 is not None:
         state.h += tau * b2 / modes.area
     state.n = m
+    state.g1, state.g2, state.g3 = g1, g2, g3
     _close_level(state)
     return state
 
@@ -340,7 +350,7 @@ def step(
 def _close_level(state: StepperState) -> None:
     """Add e^n and ||E^n||^2 of the current level to the accumulators."""
     rates = state.memory.rates
-    state.e_norm_sq = float(np.vdot(state.e, state.mesh.modes.mass * state.e))
+    state.e_norm_sq = state.mesh.modes.edge_norm_sq(state.e)
     state.acc_e *= rates[:, None, None, None]
     state.acc_e += state.e
     state.acc_norm_sq = rates * state.acc_norm_sq + state.e_norm_sq
@@ -358,19 +368,18 @@ class EnergyTrace:
     term_hist: np.ndarray
 
 
-def energy_components(
-    state: StepperState, ops: AssembledOperators, params: HNParams
-) -> tuple[float, float, float]:
+def energy_components(state: StepperState) -> tuple[float, float, float]:
     """(eps_inf ||E^n||^2, ||H^n||^2, delta_eps sum_k w_{n-k} ||E^k||^2)."""
+    params = state.params
     term_e = params.eps_inf * state.e_norm_sq
-    term_h = ops.mesh.modes.area * float(np.vdot(state.h, state.h))
+    term_h = state.mesh.modes.cell_norm_sq(state.h)
     term_hist = params.delta_eps * float(state.memory.coeffs @ state.acc_norm_sq)
     return term_e, term_h, term_hist
 
 
-def energy(state: StepperState, ops: AssembledOperators, params: HNParams) -> float:
+def energy(state: StepperState) -> float:
     """Discrete energy at the current level."""
-    return sum(energy_components(state, ops, params))
+    return sum(energy_components(state))
 
 
 # --- manufactured solution -------------------------------------------------
@@ -449,7 +458,7 @@ def manufactured_sources(params: HNParams) -> SourceSet:
 
 
 def _integrate(
-    ops: AssembledOperators,
+    mesh: MaxwellMesh,
     params: HNParams,
     tau: float,
     t_final: float,
@@ -462,12 +471,11 @@ def _integrate(
     calling ``observe(state)`` at level 0 and after every step."""
     n_steps = _step_count(t_final, tau)
     memory = fit_exp_sum(generate_weights(scheme, params.alpha, params.beta, tau, n_steps))
-    operator = StepOperator(ops, params, tau, memory.w0)
-    e0, h0 = interpolate_E(ops.mesh, initial[0], 0.0), interpolate_H(ops.mesh, initial[1], 0.0)
-    state = init_state(ops, params, memory, e0, h0, operator, sources)
+    e0, h0 = interpolate_E(mesh, initial[0], 0.0), interpolate_H(mesh, initial[1], 0.0)
+    state = init_state(mesh, params, memory, e0, h0, sources)
     observe(state)
     for _ in range(n_steps):
-        observe(step(state, ops, params, operator, sources))
+        observe(step(state))
 
 
 def run_energy(
@@ -476,16 +484,13 @@ def run_energy(
     tau: float,
     t_final: float = 1.0,
     scheme: str = "cm2",
-    ops: AssembledOperators | None = None,
 ) -> EnergyTrace:
     """Zero-source evolution from the standing initial data; returns the
     per-level discrete energy decomposition."""
-    if ops is None:
-        ops = assemble(mesh)
     comps = []
-    record = lambda state: comps.append(energy_components(state, ops, params))
+    record = lambda state: comps.append(energy_components(state))
     initial = (decay_initial_E, decay_initial_H)
-    _integrate(ops, params, tau, t_final, scheme, initial, SourceLoads(), record)
+    _integrate(mesh, params, tau, t_final, scheme, initial, SourceLoads(), record)
     comps = np.array(comps)
     levels = np.arange(len(comps))
     return EnergyTrace(
@@ -531,7 +536,6 @@ def run_convergence(
     tau_ref: float | None = None,
     t_final: float = 1.0,
     scheme: str = "cm2",
-    ops: AssembledOperators | None = None,
 ) -> ErrorReport:
     """Temporal-refinement study on the manufactured solution.
 
@@ -543,24 +547,20 @@ def run_convergence(
     _check_halving(taus)
     if mode not in ("vs_exact", "vs_reference"):
         raise ValueError(f"mode must be 'vs_exact' or 'vs_reference', got {mode!r}")
-    if ops is None:
-        ops = assemble(mesh)
-    sources = manufactured_sources(params).assemble(ops)
+    modes = mesh.modes
+    sources = manufactured_sources(params).assemble(mesh)
 
     def trajectory(tau: float, keep_every: int) -> dict[int, tuple[np.ndarray, ...]]:
-        """{kept level -> (e, h, p)} snapshots of one run."""
+        """{kept level -> modal (e, h, p)} snapshots of one run."""
         kept = {}
 
         def keep(state: StepperState) -> None:
             if state.n % keep_every == 0:
-                fields = state.fields
-                kept[state.n // keep_every] = (fields.e.copy(), fields.h.copy(), fields.p.copy())
+                kept[state.n // keep_every] = (state.e.copy(), state.h.copy(), state.p)
 
-        _integrate(ops, params, tau, t_final, scheme, (exact_E, exact_H), sources, keep)
+        _integrate(mesh, params, tau, t_final, scheme, (exact_E, exact_H), sources, keep)
         return kept
 
-    reference = None
-    tau_keep = None
     if mode == "vs_reference":
         if tau_ref is None:
             tau_ref = min(taus) / 8.0
@@ -568,45 +568,36 @@ def run_convergence(
         if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
             raise ValueError(f"tau_ref={tau_ref} must divide the smallest tau={min(taus)}")
         # reference snapshots are kept at multiples of the smallest tau
-        tau_keep = min(taus)
         reference = trajectory(tau_ref, keep_every=round(stride))
 
-    errs = {"e": [], "h": [], "p": []}
-    for tau in taus:
-        traj = trajectory(tau, keep_every=1)
-        if mode == "vs_exact":
-            e_err = max(
-                l2_error(mesh, e, exact_E, n * tau, "edge") for n, (e, _, _) in traj.items()
-            )
-            h_err = max(
-                l2_error(mesh, h, exact_H, n * tau, "cell") for n, (_, h, _) in traj.items()
-            )
-            p_err = max(
-                l2_error(mesh, p, exact_P, n * tau, "edge") for n, (_, _, p) in traj.items()
-            )
-        else:
-            ratio = round(tau / tau_keep)
-            e_err = h_err = p_err = 0.0
-            for n, (e, h, p) in traj.items():
-                re, rh, rp = reference[n * ratio]
-                e_err = max(e_err, ops.edge_norm(e - re))
-                h_err = max(h_err, ops.cell_norm(h - rh))
-                p_err = max(p_err, ops.edge_norm(p - rp))
-        errs["e"].append(e_err)
-        errs["h"].append(h_err)
-        errs["p"].append(p_err)
+    errs = np.zeros((len(taus), 3))
+    for i, tau in enumerate(taus):
+        for n, (e, h, p) in trajectory(tau, keep_every=1).items():
+            if mode == "vs_exact":
+                t = n * tau
+                err = (
+                    l2_error(mesh, modes.modes_to_edges(e), exact_E, t, "edge"),
+                    l2_error(mesh, modes.modes_to_cells(h), exact_H, t, "cell"),
+                    l2_error(mesh, modes.modes_to_edges(p), exact_P, t, "edge"),
+                )
+            else:
+                re, rh, rp = reference[n * round(tau / min(taus))]
+                err = (
+                    math.sqrt(modes.edge_norm_sq(e - re)),
+                    math.sqrt(modes.cell_norm_sq(h - rh)),
+                    math.sqrt(modes.edge_norm_sq(p - rp)),
+                )
+            errs[i] = np.maximum(errs[i], err)
 
-    rates = {
-        key: np.array(observed_rates(list(zip(taus, vals)))) for key, vals in errs.items()
-    }
+    rates = [np.array(observed_rates(list(zip(taus, col)))) for col in errs.T]
     return ErrorReport(
         taus=np.array(taus),
-        err_e=np.array(errs["e"]),
-        err_h=np.array(errs["h"]),
-        err_p=np.array(errs["p"]),
-        rate_e=rates["e"],
-        rate_h=rates["h"],
-        rate_p=rates["p"],
+        err_e=errs[:, 0],
+        err_h=errs[:, 1],
+        err_p=errs[:, 2],
+        rate_e=rates[0],
+        rate_h=rates[1],
+        rate_p=rates[2],
         mode=mode,
         tau_ref=tau_ref,
     )

@@ -105,15 +105,15 @@ class TestAssembly:
     def test_mass_positive_definite(self):
         rng = np.random.default_rng(11)
         for n in (4, 16, 32):
-            ops = assemble(build_mesh(n, n))
-            m_e = ops.m_e_full[ops.free_edges][:, ops.free_edges]
+            mesh = build_mesh(n, n)
+            m_e = assemble(mesh).m_e_full[mesh.free_edges][:, mesh.free_edges]
             for _ in range(5):
                 x = rng.normal(size=m_e.shape[0])
                 assert x @ (m_e @ x) > 0.0
 
     def test_mass_symmetric(self):
-        ops = assemble(build_mesh(8, 8))
-        m_e = ops.m_e_full[ops.free_edges][:, ops.free_edges]
+        mesh = build_mesh(8, 8)
+        m_e = assemble(mesh).m_e_full[mesh.free_edges][:, mesh.free_edges]
         diff = (m_e - m_e.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) < 1e-15
 
@@ -139,6 +139,22 @@ class TestAssembly:
         mesh = build_mesh(4, 7)
         ops = assemble(mesh)
         assert np.allclose(ops.m_h_diag, mesh.hx * mesh.hy)
+
+
+class TestModalNorms:
+    @pytest.mark.parametrize("nx,ny", [(32, 32), (5, 7), (1, 4), (4, 1)])
+    def test_parseval_norms_match_mass_matrices(self, nx, ny):
+        # squared norms of modal fields equal e^T M_E e and h^T M_H h of their dofs
+        mesh = build_mesh(nx, ny)
+        ops, modes = assemble(mesh), mesh.modes
+        rng = np.random.default_rng(nx * 100 + ny)
+        for _ in range(3):
+            e = np.zeros(mesh.n_edges)
+            e[mesh.free_edges] = rng.normal(size=mesh.free_edges.size)
+            h = rng.normal(size=mesh.n_cells)
+            want_e, want_h = e @ (ops.m_e_full @ e), h @ (ops.m_h_diag * h)
+            assert modes.edge_norm_sq(modes.edges_to_modes(e)) == pytest.approx(want_e, rel=1e-13)
+            assert modes.cell_norm_sq(modes.cells_to_modes(h)) == pytest.approx(want_h, rel=1e-13)
 
 
 class TestInterpolation:

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hnmaxwell import fem, stepper
 from hnmaxwell.fem import (
     assemble,
     assemble_cell_load,
@@ -21,7 +22,9 @@ from hnmaxwell.fem import (
 from hnmaxwell.quadrature import cm2_weights, fit_exp_sum
 from hnmaxwell.stepper import (
     HNParams,
+    Separable,
     SourceLoads,
+    SourceSet,
     StepOperator,
     decay_initial_E,
     decay_initial_H,
@@ -55,7 +58,7 @@ def cm2_memory(alpha, beta, tau, n):
 def reduced_matrices(ops, params, tau, w0):
     """The step matrix and the edge mass matrix on the free edge dofs, built
     from the assembled sparse matrices."""
-    free = ops.free_edges
+    free = ops.mesh.free_edges
     m_e = ops.m_e_full[free][:, free]
     c = ops.c_full[:, free]
     curlcurl = c.T @ sp.diags(1.0 / ops.m_h_diag) @ c
@@ -69,9 +72,9 @@ class TestStepOperator:
         mesh = build_mesh(nx, ny)
         ops = assemble(mesh)
         params = default_params(eps_inf=1.5, delta_eps=2.0)
-        op = StepOperator(ops, params, 0.05, 0.3)
+        op = StepOperator(mesh, params, 0.05, 0.3)
         step_matrix, m_e = reduced_matrices(ops, params, 0.05, 0.3)
-        free, modes = ops.free_edges, mesh.modes
+        free, modes = mesh.free_edges, mesh.modes
         rng = np.random.default_rng(nx * 100 + ny)
         for solve, matrix in ((op.solve, step_matrix), (op.solve_mass, m_e)):
             for _ in range(3):
@@ -84,86 +87,68 @@ class TestStepOperator:
 
     def test_empty_interior_mesh(self):
         # 1x1 mesh: every edge dof constrained, modal E is all padding
-        ops = assemble(build_mesh(1, 1))
-        op = StepOperator(ops, default_params(), 0.1, 0.5)
+        op = StepOperator(build_mesh(1, 1), default_params(), 0.1, 0.5)
         assert np.array_equal(op.solve(np.zeros((2, 1, 1))), np.zeros((2, 1, 1)))
 
     def test_positive_leading_weight_required(self):
-        ops = assemble(build_mesh(2, 2))
         with pytest.raises(ValueError):
-            StepOperator(ops, default_params(), 0.1, 0.0)
+            StepOperator(build_mesh(2, 2), default_params(), 0.1, 0.0)
 
 
 class TestStepBasics:
     def test_zero_data_stays_zero(self):
         mesh = build_mesh(4, 4)
-        ops = assemble(mesh)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.1, 5)
-        op = StepOperator(ops, params, 0.1, w.w0)
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), op)
+        state = init_state(mesh, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells))
         for _ in range(5):
-            step(state, ops, params, operator=op)
+            step(state)
         assert np.array_equal(state.fields.e, np.zeros(mesh.n_edges))
         assert np.array_equal(state.fields.h, np.zeros(mesh.n_cells))
         assert np.array_equal(state.fields.p, np.zeros(mesh.n_edges))
 
     def test_one_by_one_mesh_runs(self):
         mesh = build_mesh(1, 1)
-        ops = assemble(mesh)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.25, 4)
-        op = StepOperator(ops, params, 0.25, w.w0)
-        state = init_state(ops, params, w, np.zeros(4), np.ones(1), op)
+        state = init_state(mesh, params, w, np.zeros(4), np.ones(1))
         for _ in range(4):
-            step(state, ops, params, operator=op)
+            step(state)
         # no interior E dofs: H cannot change
         assert np.allclose(state.fields.h, 1.0)
 
     def test_capacity_guard(self):
         mesh = build_mesh(2, 2)
-        ops = assemble(mesh)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.5, 2)
-        op = StepOperator(ops, params, 0.5, w.w0)
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), op)
-        step(state, ops, params, operator=op)
-        step(state, ops, params, operator=op)
+        state = init_state(mesh, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells))
+        step(state)
+        step(state)
         with pytest.raises(ValueError):
-            step(state, ops, params, operator=op)
+            step(state)
 
     def test_boundary_dofs_stay_zero(self):
         mesh = build_mesh(6, 6)
-        ops = assemble(mesh)
         params = default_params(alpha=0.3, beta=0.9)
         w = cm2_memory(0.3, 0.9, 0.1, 10)
-        op = StepOperator(ops, params, 0.1, w.w0)
-        state = init_state(
-            ops,
-            params,
-            w,
-            interpolate_E(mesh, decay_initial_E),
-            interpolate_H(mesh, decay_initial_H),
-            op,
-        )
+        e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
+        state = init_state(mesh, params, w, e0, h0)
         for _ in range(10):
-            step(state, ops, params, operator=op)
+            step(state)
             assert np.array_equal(state.fields.e[mesh.boundary_edges], np.zeros(24))
             assert np.array_equal(state.fields.p[mesh.boundary_edges], np.zeros(24))
 
     def test_linearity(self):
         mesh = build_mesh(8, 8)
-        ops = assemble(mesh)
         params = default_params(alpha=0.7, beta=0.4)
         e0 = interpolate_E(mesh, decay_initial_E)
         h0 = interpolate_H(mesh, decay_initial_H)
         runs = []
         for scale in (1.0, 2.0):
             w = cm2_memory(0.7, 0.4, 0.1, 10)
-            op = StepOperator(ops, params, 0.1, w.w0)
-            state = init_state(ops, params, w, scale * e0, scale * h0, op)
+            state = init_state(mesh, params, w, scale * e0, scale * h0)
             for _ in range(10):
-                step(state, ops, params, operator=op)
+                step(state)
             runs.append(state.fields)
         assert np.allclose(2.0 * runs[0].e, runs[1].e, rtol=1e-12, atol=1e-14)
         assert np.allclose(2.0 * runs[0].h, runs[1].h, rtol=1e-12, atol=1e-14)
@@ -173,12 +158,10 @@ class TestStepBasics:
 class TestEnergy:
     def test_zero_fields_zero_energy(self):
         mesh = build_mesh(3, 3)
-        ops = assemble(mesh)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.1, 2)
-        op = StepOperator(ops, params, 0.1, w.w0)
-        state = init_state(ops, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells), op)
-        assert energy(state, ops, params) == 0.0
+        state = init_state(mesh, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells))
+        assert energy(state) == 0.0
 
     def test_level_zero_formula(self):
         mesh = build_mesh(6, 6)
@@ -187,13 +170,13 @@ class TestEnergy:
         w = cm2_memory(0.5, 0.5, 0.1, 3)
         e0 = interpolate_E(mesh, decay_initial_E)
         h0 = interpolate_H(mesh, decay_initial_H)
-        state = init_state(ops, params, w, e0, h0, StepOperator(ops, params, 0.1, w.w0))
+        state = init_state(mesh, params, w, e0, h0)
         e0c = e0.copy()
         e0c[mesh.boundary_edges] = 0.0
         ee = e0c @ (ops.m_e_full @ e0c)
         hh = h0 @ (ops.m_h_diag * h0)
         expected = 1.5 * ee + hh + 2.0 * w.w0 * ee
-        assert energy(state, ops, params) == pytest.approx(expected, rel=1e-14)
+        assert energy(state) == pytest.approx(expected, rel=1e-14)
 
     def test_decay_zero_sources(self):
         mesh = build_mesh(16, 16)
@@ -222,17 +205,15 @@ class TestEnergy:
     def test_decay_random_data(self, nx, ny, tau, alpha, beta, seed):
         # zero sources: no rise beyond roundoff for any step size and initial fields
         mesh = build_mesh(nx, ny)
-        ops = assemble(mesh)
         params = default_params(alpha=alpha, beta=beta)
         n_steps = 8
         w = cm2_memory(alpha, beta, tau, n_steps)
-        op = StepOperator(ops, params, tau, w.w0)
         rng = np.random.default_rng(seed)
         e0, h0 = rng.normal(size=mesh.n_edges), rng.normal(size=mesh.n_cells)
-        state = init_state(ops, params, w, e0, h0, op)
-        totals = [energy(state, ops, params)]
+        state = init_state(mesh, params, w, e0, h0)
+        totals = [energy(state)]
         for _ in range(n_steps):
-            totals.append(energy(step(state, ops, params, op), ops, params))
+            totals.append(energy(step(state)))
         assert (np.diff(totals) <= 1e-10 * totals[0]).all()
 
     def test_crank_nicolson_conservation(self):
@@ -248,18 +229,11 @@ class TestEnergy:
         params = default_params(alpha=0.4, beta=0.8)
         n_steps = 12
         w = cm2_memory(0.4, 0.8, 0.05, n_steps)
-        op = StepOperator(ops, params, 0.05, w.w0)
-        state = init_state(
-            ops,
-            params,
-            w,
-            interpolate_E(mesh, decay_initial_E),
-            interpolate_H(mesh, decay_initial_H),
-            op,
-        )
+        e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
+        state = init_state(mesh, params, w, e0, h0)
         levels = [state.fields.e.copy()]
         for _ in range(n_steps):
-            step(state, ops, params, operator=op)
+            step(state)
             levels.append(state.fields.e.copy())
         # from-scratch convolution of the E levels seen while stepping, with the
         # materialized weights of the fitted exponential sum
@@ -270,16 +244,16 @@ class TestEnergy:
             w_hat[n_steps - k] * levels[k] @ (ops.m_e_full @ levels[k])
             for k in range(n_steps + 1)
         )
-        _, _, term_hist = energy_components(state, ops, params)
+        _, _, term_hist = energy_components(state)
         assert term_hist == pytest.approx(params.delta_eps * hist, rel=1e-12)
 
 
-def dense_history_run(ops, params, memory, operator, sources, e0, h0):
+def dense_history_run(mesh, params, memory, operator, sources, e0, h0):
     """The dense-history stepper on the materialized weights w_hat, in the
     mesh's eigenbasis: every level stores modal M_E e^k and ||E^k||^2, the step
     convolves the whole stored history, and P is recovered by a mass solve.
     Yields (e, h, p, energy) per level, fields as dof vectors."""
-    modes = ops.mesh.modes
+    modes = mesh.modes
     w = memory.weights()
     tau, n_steps = memory.tau, memory.order
     me_hist = np.zeros((n_steps + 1, *modes.mass.shape))
@@ -322,7 +296,8 @@ def sparse_reference_run(ops, params, memory, sources, e0, h0):
     to the free edge dofs: one spsolve per step and per P recovery, and the
     manufactured loads assembled pointwise at every level.  Yields (e, h, p)
     per level as dof vectors."""
-    mesh, free, m_h = ops.mesh, ops.free_edges, ops.m_h_diag
+    mesh, m_h = ops.mesh, ops.m_h_diag
+    free = mesh.free_edges
     w = memory.weights()
     tau, n_steps = memory.tau, memory.order
     step_matrix, m_e = reduced_matrices(ops, params, tau, w[0])
@@ -363,22 +338,21 @@ class TestDenseHistoryOracle:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 1.0)])
     def test_accumulators_match_dense_history(self, alpha, beta):
         mesh = build_mesh(8, 8)
-        ops = assemble(mesh)
         params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=alpha, beta=beta)
         n_steps = 200
         memory = cm2_memory(alpha, beta, 1.0 / n_steps, n_steps)
-        op = StepOperator(ops, params, memory.tau, memory.w0)
-        sources = manufactured_sources(params).assemble(ops)
+        op = StepOperator(mesh, params, memory.tau, memory.w0)
+        sources = manufactured_sources(params).assemble(mesh)
         e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
-        state = init_state(ops, params, memory, e0, h0, op, sources)
+        state = init_state(mesh, params, memory, e0, h0, sources)
         for level, (e, h, p, total) in enumerate(
-            dense_history_run(ops, params, memory, op, sources, e0, h0)
+            dense_history_run(mesh, params, memory, op, sources, e0, h0)
         ):
             if level > 0:
-                step(state, ops, params, op, sources)
+                step(state)
             for got, want in ((state.fields.e, e), (state.fields.h, h), (state.fields.p, p)):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert energy(state, ops, params) == pytest.approx(total, rel=1e-12)
+            assert energy(state) == pytest.approx(total, rel=1e-12)
         assert state.n == n_steps
 
     @pytest.mark.parametrize("nx,ny", [(8, 8), (5, 7), (1, 4), (3, 1)])
@@ -388,15 +362,13 @@ class TestDenseHistoryOracle:
         params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8)
         n_steps = 40
         memory = cm2_memory(0.3, 0.8, 1.0 / n_steps, n_steps)
-        op = StepOperator(ops, params, memory.tau, memory.w0)
         source_set = manufactured_sources(params)
-        loads = source_set.assemble(ops)
         e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
-        state = init_state(ops, params, memory, e0, h0, op, loads)
+        state = init_state(mesh, params, memory, e0, h0, source_set.assemble(mesh))
         diffs, sizes = np.zeros((n_steps + 1, 3)), np.zeros((n_steps + 1, 3))
         for level, want in enumerate(sparse_reference_run(ops, params, memory, source_set, e0, h0)):
             if level > 0:
-                step(state, ops, params, op, loads)
+                step(state)
             got = state.fields
             for i, (g, r) in enumerate(zip((got.e, got.h, got.p), want)):
                 diffs[level, i] = np.linalg.norm(g - r)
@@ -406,16 +378,58 @@ class TestDenseHistoryOracle:
 
     def test_zero_g3_needs_no_mass_solve(self, monkeypatch):
         # zero sources: P comes from the accumulators alone
-        ops = assemble(build_mesh(4, 4))
-        params = default_params()
+        mesh = build_mesh(4, 4)
         memory = cm2_memory(0.5, 0.5, 0.1, 4)
-        op = StepOperator(ops, params, 0.1, memory.w0)
-        monkeypatch.setattr(op, "solve_mass", lambda rhs: pytest.fail("mass solve"))
-        e0 = interpolate_E(ops.mesh, decay_initial_E)
-        state = init_state(ops, params, memory, e0, interpolate_H(ops.mesh, decay_initial_H), op)
+        monkeypatch.setattr(StepOperator, "solve_mass", lambda self, rhs: pytest.fail("mass solve"))
+        e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
+        state = init_state(mesh, default_params(), memory, e0, h0, SourceLoads())
         for _ in range(4):
-            step(state, ops, params, op, SourceLoads())
+            step(state)
         assert np.linalg.norm(state.fields.p) > 0.0
+
+
+class TestSourceEvaluation:
+    @pytest.mark.parametrize("which", ["g1", "g2", "g3"])
+    def test_each_source_evaluated_once_per_level(self, which):
+        # n steps visit n + 1 levels; each needs its source at t_n exactly once
+        mesh = build_mesh(4, 3)
+        calls = []
+
+        def factor(t):
+            calls.append(t)
+            return 1.0 + t
+
+        spatial = _h_field if which == "g2" else _e_field
+        loads = SourceSet(**{which: Separable(((factor, spatial),))}).assemble(mesh)
+        n_steps = 6
+        memory = cm2_memory(0.5, 0.5, 0.1, n_steps)
+        e0 = interpolate_E(mesh, decay_initial_E)
+        state = init_state(mesh, default_params(), memory, e0, np.zeros(mesh.n_cells), loads)
+        for _ in range(n_steps):
+            step(state)
+        assert len(calls) == n_steps + 1
+        assert calls == pytest.approx([0.1 * n for n in range(n_steps + 1)], rel=1e-15)
+
+    def test_drivers_need_no_sparse_assembly(self, monkeypatch):
+        def fail(mesh):
+            raise AssertionError("sparse assembly")
+
+        for module in (fem, stepper):
+            monkeypatch.setattr(module, "assemble", fail, raising=False)
+        mesh = build_mesh(4, 4)
+        trace = run_energy(mesh, default_params(), tau=0.25, t_final=1.0)
+        assert trace.total.size == 5
+        for mode in ("vs_exact", "vs_reference"):
+            report = run_convergence(mesh, default_params(), (1 / 2, 1 / 4), mode=mode)
+            assert (report.err_e > 0).all() and (report.err_p > 0).all()
+
+
+def _e_field(x, y):
+    return x * (1.0 - x) * y, np.sin(np.pi * x) + 0.0 * y
+
+
+def _h_field(x, y):
+    return x + y**2
 
 
 class TestManufacturedSources:
@@ -448,9 +462,8 @@ class TestManufacturedSources:
 
     def test_assembled_loads_match_pointwise_sum(self):
         mesh = build_mesh(7, 5)
-        ops = assemble(mesh)
         src = manufactured_sources(default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8))
-        loads = src.assemble(ops)
+        loads = src.assemble(mesh)
         modes = mesh.modes
         for t in np.random.default_rng(3).uniform(0.0, 2.0, size=4):
             t = float(t)
@@ -475,7 +488,7 @@ class TestSchemeConsistency:
         tau = 1.0 / n_steps
         src = manufactured_sources(params)
         w = cm2_weights(params.alpha, params.beta, tau, n_steps).weights
-        free = ops.free_edges
+        free = mesh.free_edges
         m = n_steps  # probe the final level, t = 1
         t_m, t_prev = m * tau, (m - 1) * tau
         eI = [interpolate_E(mesh, exact_E, k * tau) for k in range(m + 1)]
