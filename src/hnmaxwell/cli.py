@@ -19,6 +19,7 @@ acceptance checks and exits nonzero if any fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -124,6 +125,7 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.cache  # argparse parsers are reusable; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hnmx", description=__doc__.splitlines()[0])
     p.add_argument("experiment", choices=EXPERIMENTS)
@@ -317,17 +319,10 @@ def _run_energy(cfg: ExperimentConfig, out: Path) -> list[Path]:
         for alpha in cfg.alphas:
             params = HNParams(cfg.eps_inf, cfg.delta_eps, alpha, beta)
             trace = run_energy(mesh, params, cfg.taus[0], t_final=cfg.t_final, scheme=cfg.scheme)
-            rows = [
-                (
-                    str(int(trace.n[i])),
-                    _fmt(trace.t[i]),
-                    _fmt(trace.total[i]),
-                    _fmt(trace.term_e[i]),
-                    _fmt(trace.term_h[i]),
-                    _fmt(trace.term_hist[i]),
-                )
-                for i in range(trace.n.size)
-            ]
+            # one format per row: the level, then _fmt of each float column
+            line = "%d" + ",%.16e" * 5
+            columns = (trace.n, trace.t, trace.total, trace.term_e, trace.term_h, trace.term_hist)
+            rows = [(line % values,) for values in zip(*(c.tolist() for c in columns))]
             path = out / f"energy_alpha{alpha:g}_beta{beta:g}.csv"
             _write_csv(path, cfg.resolved_comment(), "n,t,total,term_E,term_H,term_hist", rows)
             paths.append(path)

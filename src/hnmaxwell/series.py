@@ -24,6 +24,8 @@ __all__ = ["TruncatedSeries", "binom_series", "series_mul", "series_pow"]
 
 # Rows of the Miller recurrence solved per triangular block in series_pow.
 BLOCK = 64
+# Relative size below which series_mul drops a coefficient of its second factor.
+TAIL_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,19 @@ def binom_series(exponent: float, scale: float, n: int) -> TruncatedSeries:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
+    """Cauchy product truncated at the common order.
+
+    Coefficients of b below ``TAIL_FLOOR`` times its largest are taken as
+    zero.  That changes a term by less than TAIL_FLOOR * max|b| * sum_i |a_i|,
+    far below its last bit for the quadrature factors, and keeps the products
+    with the underflowing tail of a geometric factor (1 - d z)^e out of slow
+    subnormal arithmetic.
+    """
     if a.order != b.order:
         raise ValueError(f"truncation orders differ: {a.order} != {b.order}")
-    return TruncatedSeries(np.convolve(a.coeffs, b.coeffs)[: a.order + 1])
+    y = b.coeffs
+    y = np.where(np.abs(y) < TAIL_FLOOR * np.abs(y).max(), 0.0, y)
+    return TruncatedSeries(np.convolve(a.coeffs, y)[: a.order + 1])
 
 
 def series_pow(f: TruncatedSeries, gamma: float) -> TruncatedSeries:

@@ -10,8 +10,22 @@ The weights are a positive exponential sum w_j = sum_l c_l r_l^j (c_l > 0,
 0 < r_l < 1) fitted once per trajectory to the quadrature table of
 :mod:`hnmaxwell.quadrature`, which refuses tables that are not completely
 monotone.  The memory is then L accumulators instead of the whole history:
-A_l = sum_k r_l^{n-k} e^k and B_l = sum_k r_l^{n-k} ||E^k||^2, each updated
-by A_l <- r_l A_l + e^n per level, so a step costs O(L * dofs) whatever n is.
+A_l^n = sum_{k<=n} r_l^{n-k} e^k and B_l^n = sum_{k<=n} r_l^{n-k} ||E^k||^2,
+so a step costs O(L * dofs) whatever n is.  B_l is updated at every level.
+A_l is updated in blocks of ``BLOCK`` = K levels, the near/far split of fast
+convolution (Lubich & Schaedle, SIAM J. Sci. Comput. 24 (2002) 161-182): the
+state holds A^b of the last block boundary b, the fields e^{b+1..n} of the
+open block ("near"), and the part of the next K history increments that
+comes from A^b ("far").  With j = n - b,
+
+    sum_l c_l (r_l - 1) A_l^n = far_j + sum_{i=1}^{j} u_{j-i} e^{b+i},
+    far_k = sum_l c_l (r_l - 1) r_l^k A_l^b,   u_k = sum_l c_l (r_l - 1) r_l^k,
+
+so a step reads j + 1 field rows instead of L.  When the block is full,
+A^{b+K} = r^K A^b + sum_i r^{K-i} e^{b+i} and the next far are one matrix
+product each.  In exact arithmetic this is the per-level update
+A_l <- r_l A_l + e^n.  Power-table entries below ``POWER_FLOOR`` are set to
+zero, so no product in the update falls into the subnormal range.
 Eliminating H and P from the step leaves one linear system per step,
 
     A e^m = rhs,   A = ((eps_inf + delta_eps*w0)/tau) M_E + (tau/4) C^T M_H^{-1} C,
@@ -24,11 +38,11 @@ most two E modes of each H mode and is solved in closed form
 (Sherman-Morrison), M_E^{-1} is a division, H follows explicitly, the
 norms are sums over modes weighted by the diagonal masses (Parseval,
 :meth:`hnmaxwell.fem.MeshModes.edge_norm_sq`), and
-P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n) is formed only when it is
-read.  This relies on the uniform tensor mesh that :mod:`hnmaxwell.fem`
-builds; a non-uniform mesh would need a sparse solve.  No sparse matrix is
-assembled: the state is built from the mesh, and ``step(state)`` reads
-nothing else.
+P^n = delta_eps sum_l c_l A_l^n + M_E^{-1} g3(t_n) is formed from A^b and the
+open block only when it is read.  This relies on the uniform tensor mesh that
+:mod:`hnmaxwell.fem` builds; a non-uniform mesh would need a sparse solve.
+No sparse matrix is assembled: the state is built from the mesh, and
+``step(state)`` reads nothing else.
 With zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
@@ -95,6 +109,14 @@ __all__ = [
 ]
 
 TimeFactor = Callable[[float], float]
+
+# Levels per block of the memory update (K above).  A step reads up to K field
+# rows and a full block costs two L x K x dofs products; K = 8..32 time alike
+# on 32x32 and 64x64 meshes at L = 44-53, K = 4 is slower.
+BLOCK = 16
+# Power-table entries r_l^k below this are exact zeros; that changes a weight
+# by less than POWER_FLOOR * c_l and keeps the update out of subnormal numbers.
+POWER_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -217,19 +239,71 @@ class StepOperator:
         return rhs / self._mass
 
 
+@dataclass(frozen=True)
+class BlockTables:
+    """Power tables of an exponential sum for the blocked memory update, with
+    p_kl = r_l^k (k = 0..K) set to zero below ``POWER_FLOOR``:
+
+    - ``fold_old[l]`` = p_Kl and ``fold_new[l, i]`` = p_{K-1-i,l}, so a full
+      block folds into A^{b+K} = fold_old * A^b + fold_new @ near;
+    - ``far_map[k, l]`` = c_l (r_l - 1) p_kl, so far = far_map @ A^b;
+    - ``value_far[k, l]`` = c_l p_kl, the weights of A^b in sum_l c_l A_l^{b+k};
+    - ``inc_near[K-1-k]`` = u_k = sum_l far_map[k, l] and
+      ``value_near[K-1-k]`` = w_hat_k = sum_l value_far[k, l], reversed so that
+      the last j entries weight near_0 .. near_{j-1}.
+    """
+
+    fold_old: np.ndarray
+    fold_new: np.ndarray
+    far_map: np.ndarray
+    value_far: np.ndarray
+    inc_near: np.ndarray
+    value_near: np.ndarray
+
+    @classmethod
+    def build(cls, memory: ExpSum) -> "BlockTables":
+        powers = memory.rates ** np.arange(BLOCK + 1)[:, None]
+        powers[powers < POWER_FLOOR] = 0.0
+        value_far = memory.coeffs * powers[:BLOCK]
+        far_map = (memory.rates - 1.0) * value_far
+        return cls(
+            fold_old=powers[BLOCK],
+            fold_new=np.ascontiguousarray(powers[BLOCK - 1 :: -1].T),
+            far_map=far_map,
+            value_far=value_far,
+            inc_near=far_map.sum(axis=1)[::-1].copy(),
+            value_near=value_far.sum(axis=1)[::-1].copy(),
+        )
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A stack of modal fields as a (rows, dofs) view."""
+    return a.reshape(a.shape[0], -1)
+
+
 @dataclass
 class StepperState:
     """Mutable run state in modal form: E and H at level n, the memory
     accumulators, the source values at t_n, and everything a step reads.
 
     ``e`` and ``h`` are modal E and H (see :class:`hnmaxwell.fem.MeshModes`).
-    Row l of ``acc_e`` holds the modal A_l = sum_{k<=n} r_l^{n-k} e^k, entry l
-    of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2, and
-    ``e_norm_sq`` is ||E^n||^2.  Every update multiplies the old sum by
-    r_l < 1, so rounding errors made at earlier levels are damped, not grown.
-    ``g1``, ``g2`` and ``g3`` are the modal sources at t_n (None where
-    ``sources`` has none), so each source is evaluated once per level.  The
-    fit holds for levels up to ``memory.order``, which bounds the run.
+    The E memory is kept in blocks of ``BLOCK`` = K levels, b being the last
+    block boundary (b = -1 before the first, with A^{-1} = 0):
+
+    - row l of ``acc_e`` holds the modal A_l^b = sum_{k<=b} r_l^{b-k} e^k;
+    - row i of ``near`` holds e^{b+1+i} for the j = n - b levels of the open
+      block (i < j; later rows are stale);
+    - row k of ``far`` holds sum_l c_l (r_l - 1) r_l^k A_l^b, the part of the
+      history increment of step b+k+1 that comes from A^b.
+
+    Entry l of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2,
+    updated at every level, and ``e_norm_sq`` is ||E^n||^2.  Every update
+    multiplies the old sums by powers of r_l < 1, so rounding errors made at
+    earlier levels are damped, not grown.  ``tables`` holds the power tables
+    of ``memory`` the blocked update reads.  ``g1``, ``g2`` and ``g3`` are the
+    modal sources at t_n (None where ``sources`` has none), so each source is
+    evaluated once per level.  The fit holds for levels up to
+    ``memory.order``, which bounds the run.
     """
 
     memory: ExpSum
@@ -241,7 +315,10 @@ class StepperState:
     e: np.ndarray
     h: np.ndarray
     acc_e: np.ndarray
+    near: np.ndarray
+    far: np.ndarray
     acc_norm_sq: np.ndarray
+    tables: BlockTables
     e_norm_sq: float = 0.0
     g1: np.ndarray | None = None
     g2: np.ndarray | None = None
@@ -249,8 +326,12 @@ class StepperState:
 
     @property
     def p(self) -> np.ndarray:
-        """Modal P^n = delta_eps sum_l c_l A_l + M_E^{-1} g3(t_n)."""
-        p = self.params.delta_eps * np.tensordot(self.memory.coeffs, self.acc_e, axes=1)
+        """Modal P^n = delta_eps sum_l c_l A_l^n + M_E^{-1} g3(t_n), with
+        sum_l c_l A_l^n = sum_l c_l r_l^j A_l^b + sum_{i<j} w_hat_{j-1-i} near_i."""
+        j, t = self.n - self.block_start, self.tables
+        conv = t.value_far[j] @ _rows(self.acc_e)
+        conv += t.value_near[BLOCK - j :] @ _rows(self.near)[:j]
+        p = self.params.delta_eps * conv.reshape(self.e.shape)
         if self.g3 is not None:
             p += self.operator.solve_mass(self.g3)
         return p
@@ -264,6 +345,11 @@ class StepperState:
             p=modes.modes_to_edges(self.p),
             h=modes.modes_to_cells(self.h),
         )
+
+    @property
+    def block_start(self) -> int:
+        """The last block boundary b <= n (A^b is in ``acc_e``)."""
+        return self.n - (self.n + 1) % BLOCK
 
     @property
     def tau(self) -> float:
@@ -291,6 +377,7 @@ def init_state(
     modes = mesh.modes
     e = modes.edges_to_modes(np.asarray(e0, dtype=float))
     g1, g2, g3 = sources.at(0.0)
+    n_rates = memory.rates.size
     state = StepperState(
         memory=memory,
         mesh=mesh,
@@ -300,8 +387,11 @@ def init_state(
         n=0,
         e=e,
         h=modes.cells_to_modes(np.asarray(h0, dtype=float)),
-        acc_e=np.zeros((memory.rates.size, *e.shape)),
-        acc_norm_sq=np.zeros(memory.rates.size),
+        acc_e=np.zeros((n_rates, *e.shape)),
+        near=np.zeros((BLOCK, *e.shape)),
+        far=np.zeros((BLOCK, *e.shape)),
+        acc_norm_sq=np.zeros(n_rates),
+        tables=BlockTables.build(memory),
         g1=g1,
         g2=g2,
         g3=g3,
@@ -315,14 +405,16 @@ def step(state: StepperState) -> StepperState:
     m = state.n + 1
     if m > state.capacity:
         raise ValueError(f"state capacity {state.capacity} exhausted at step {m}")
-    tau, mem, params = state.tau, state.memory, state.params
+    tau, params = state.tau, state.params
     modes = state.mesh.modes
     e_prev, h_prev = state.e, state.h
     g1, g2, g3 = state.sources.at(m * tau)
 
     # history increment of the discrete convolution:
-    # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l
-    increment = np.tensordot(mem.coeffs * (mem.rates - 1.0), state.acc_e, axes=1)
+    # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l^{m-1}
+    j = m - 1 - state.block_start
+    recent = state.tables.inc_near[BLOCK - j :] @ _rows(state.near)[:j]
+    increment = state.far[j] + recent.reshape(e_prev.shape)
     rhs = modes.mass * ((params.eps_inf / tau) * e_prev - (params.delta_eps / tau) * increment)
     # C^T (h - (tau/4) M_H^{-1} C e), plus the g2 term inside the bracket
     h_part = h_prev - 0.25 * tau * (modes.curl * e_prev).sum(axis=0) / modes.area
@@ -348,12 +440,17 @@ def step(state: StepperState) -> StepperState:
 
 
 def _close_level(state: StepperState) -> None:
-    """Add e^n and ||E^n||^2 of the current level to the accumulators."""
-    rates = state.memory.rates
+    """Add e^n and ||E^n||^2 of the current level to the memory; a full block
+    is folded into A and the next far part."""
     state.e_norm_sq = state.mesh.modes.edge_norm_sq(state.e)
-    state.acc_e *= rates[:, None, None, None]
-    state.acc_e += state.e
-    state.acc_norm_sq = rates * state.acc_norm_sq + state.e_norm_sq
+    state.acc_norm_sq = state.memory.rates * state.acc_norm_sq + state.e_norm_sq
+    row = state.n % BLOCK
+    state.near[row] = state.e
+    if row == BLOCK - 1:
+        t, acc = state.tables, _rows(state.acc_e)
+        acc *= t.fold_old[:, None]
+        acc += t.fold_new @ _rows(state.near)
+        np.matmul(t.far_map, acc, out=_rows(state.far))
 
 
 @dataclass(frozen=True)
@@ -550,16 +647,8 @@ def run_convergence(
     modes = mesh.modes
     sources = manufactured_sources(params).assemble(mesh)
 
-    def trajectory(tau: float, keep_every: int) -> dict[int, tuple[np.ndarray, ...]]:
-        """{kept level -> modal (e, h, p)} snapshots of one run."""
-        kept = {}
-
-        def keep(state: StepperState) -> None:
-            if state.n % keep_every == 0:
-                kept[state.n // keep_every] = (state.e.copy(), state.h.copy(), state.p)
-
-        _integrate(mesh, params, tau, t_final, scheme, (exact_E, exact_H), sources, keep)
-        return kept
+    def run(tau: float, observe: Callable[[StepperState], None]) -> None:
+        _integrate(mesh, params, tau, t_final, scheme, (exact_E, exact_H), sources, observe)
 
     if mode == "vs_reference":
         if tau_ref is None:
@@ -567,12 +656,22 @@ def run_convergence(
         stride = min(taus) / tau_ref
         if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
             raise ValueError(f"tau_ref={tau_ref} must divide the smallest tau={min(taus)}")
-        # reference snapshots are kept at multiples of the smallest tau
-        reference = trajectory(tau_ref, keep_every=round(stride))
+        stride = round(stride)
+        # modal (e, h, p) reference snapshots at multiples of the smallest tau
+        reference = {}
 
+        def keep(state: StepperState) -> None:
+            if state.n % stride == 0:
+                reference[state.n // stride] = (state.e.copy(), state.h.copy(), state.p)
+
+        run(tau_ref, keep)
+
+    # each coarse level is compared as it is reached, none is kept
     errs = np.zeros((len(taus), 3))
     for i, tau in enumerate(taus):
-        for n, (e, h, p) in trajectory(tau, keep_every=1).items():
+
+        def measure(state: StepperState) -> None:
+            n, e, h, p = state.n, state.e, state.h, state.p
             if mode == "vs_exact":
                 t = n * tau
                 err = (
@@ -588,6 +687,8 @@ def run_convergence(
                     math.sqrt(modes.edge_norm_sq(p - rp)),
                 )
             errs[i] = np.maximum(errs[i], err)
+
+        run(tau, measure)
 
     rates = [np.array(observed_rates(list(zip(taus, col)))) for col in errs.T]
     return ErrorReport(

@@ -118,6 +118,32 @@ def test_mul_hand_expansion():
     assert np.allclose(prod.coeffs, [1.0, -2.0 / 3.0, -1.0 / 18.0], rtol=1e-14)
 
 
+@pytest.mark.parametrize("size", [1, 2, 65, 1025])
+def test_mul_matches_full_convolution(size):
+    # within a few ulp of each term's sum_i |a_i b_{n-i}|; the binomial pair's
+    # (1 - z/3)^0.5 factor underflows into subnormals and zeros beyond n ~ 650
+    rng = np.random.default_rng(size)
+    pairs = [
+        (rng.standard_normal(size), rng.standard_normal(size)),
+        (binom_series(0.5, 1.0, size - 1).coeffs, binom_series(0.5, 1.0 / 3.0, size - 1).coeffs),
+    ]
+    for a, b in pairs:
+        got = series_mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs
+        want = np.convolve(a, b)[:size]
+        scale = np.convolve(np.abs(a), np.abs(b))[:size]
+        assert (np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale).all()
+
+
+@pytest.mark.parametrize("scheme", ["cm2", "bdf2"])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_mul_symbol_factors_bit_identical(scheme, alpha):
+    # (1-z)^alpha (1-dz)^e of the weight symbols: the dropped tail of the
+    # second factor lies below the last bit of every kept term
+    e, d = (1.0 - alpha, alpha / (2.0 - alpha)) if scheme == "cm2" else (alpha, 1.0 / 3.0)
+    a, b = binom_series(alpha, 1.0, 1024), binom_series(e, d, 1024)
+    assert np.array_equal(series_mul(a, b).coeffs, np.convolve(a.coeffs, b.coeffs)[:1025])
+
+
 def test_mul_order_mismatch():
     with pytest.raises(ValueError):
         series_mul(binom_series(1.0, 1.0, 2), binom_series(1.0, 1.0, 3))

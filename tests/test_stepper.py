@@ -19,8 +19,9 @@ from hnmaxwell.fem import (
     interpolate_E,
     interpolate_H,
 )
-from hnmaxwell.quadrature import cm2_weights, fit_exp_sum
+from hnmaxwell.quadrature import ExpSum, cm2_weights, fit_exp_sum
 from hnmaxwell.stepper import (
+    BLOCK,
     HNParams,
     Separable,
     SourceLoads,
@@ -334,26 +335,67 @@ def sparse_reference_run(ops, params, memory, sources, e0, h0):
         yield close(m)
 
 
+def assert_matches_dense_history(mesh, params, memory, inspect=lambda state: None):
+    """Step the manufactured problem to ``memory.order`` and compare E, H, P
+    (read at every level, so also inside open memory blocks) and the energy
+    with the dense-history oracle, each within 1e-12 relative; calls
+    ``inspect(state)`` at every level."""
+    op = StepOperator(mesh, params, memory.tau, memory.w0)
+    sources = manufactured_sources(params).assemble(mesh)
+    e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
+    state = init_state(mesh, params, memory, e0, h0, sources)
+    for level, (e, h, p, total) in enumerate(
+        dense_history_run(mesh, params, memory, op, sources, e0, h0)
+    ):
+        if level > 0:
+            step(state)
+        for got, want in ((state.fields.e, e), (state.fields.h, h), (state.fields.p, p)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert energy(state) == pytest.approx(total, rel=1e-12)
+        inspect(state)
+    assert state.n == memory.order
+
+
 class TestDenseHistoryOracle:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 1.0)])
     def test_accumulators_match_dense_history(self, alpha, beta):
-        mesh = build_mesh(8, 8)
         params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=alpha, beta=beta)
         n_steps = 200
         memory = cm2_memory(alpha, beta, 1.0 / n_steps, n_steps)
-        op = StepOperator(mesh, params, memory.tau, memory.w0)
-        sources = manufactured_sources(params).assemble(mesh)
-        e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
-        state = init_state(mesh, params, memory, e0, h0, sources)
-        for level, (e, h, p, total) in enumerate(
-            dense_history_run(mesh, params, memory, op, sources, e0, h0)
-        ):
-            if level > 0:
-                step(state)
-            for got, want in ((state.fields.e, e), (state.fields.h, h), (state.fields.p, p)):
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert energy(state) == pytest.approx(total, rel=1e-12)
-        assert state.n == n_steps
+        assert_matches_dense_history(build_mesh(8, 8), params, memory)
+
+    @pytest.mark.parametrize(
+        "n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10], ids=lambda n: f"{n}steps"
+    )
+    def test_block_edges_match_dense_history(self, n_steps):
+        # runs ending before, at and after a full memory block, and the
+        # 10-step coarse run of the convergence studies
+        params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8)
+        memory = cm2_memory(0.3, 0.8, 0.1, n_steps)
+        starts = []
+        assert_matches_dense_history(
+            build_mesh(5, 7), params, memory, lambda state: starts.append(state.block_start)
+        )
+        assert starts == [n - (n + 1) % BLOCK for n in range(n_steps + 1)]
+
+    def test_vanishing_rates_leave_no_subnormals(self):
+        # r = 1e-20 has a subnormal r^16; r = e^-400 is the smallest candidate
+        # rate of the fit.  Their power-table entries below POWER_FLOOR are
+        # zero, so neither the tables nor the buffers hold subnormal numbers.
+        memory = ExpSum(
+            tau=0.05,
+            order=3 * BLOCK + 5,
+            coeffs=np.array([0.2, 0.3, 0.4, 0.5]),
+            rates=np.array([0.9, 0.5, 1e-20, math.exp(-400.0)]),
+            miss=0.0,
+        )
+        params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8)
+
+        def no_subnormals(state):
+            for buffer in (state.acc_e, state.near, state.far, *vars(state.tables).values()):
+                assert not ((buffer != 0.0) & (np.abs(buffer) < np.finfo(float).tiny)).any()
+
+        assert_matches_dense_history(build_mesh(6, 6), params, memory, no_subnormals)
 
     @pytest.mark.parametrize("nx,ny", [(8, 8), (5, 7), (1, 4), (3, 1)])
     def test_trajectory_matches_sparse_reference(self, nx, ny):
