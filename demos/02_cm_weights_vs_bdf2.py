@@ -21,7 +21,7 @@ print("Completely monotone second-order weights:")
 print("  (alpha, beta)    k=0          k=1          k=2          k=3")
 for alpha, beta in ((0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (0.9, 0.9)):
     w = cm2_weights(alpha, beta, TAU, J).weights
-    idx = [index_k(w, k, J, compensated=True) for k in range(4)]
+    idx = [index_k(w, k, J) for k in range(4)]
     print(f"  ({alpha:3.1f}, {beta:3.1f})  " + "  ".join(f"{v:11.3e}" for v in idx))
 print("  -> every index nonnegative (to roundoff): the sequence is CM.")
 
@@ -30,7 +30,7 @@ print("BDF-2 convolution quadrature on the same parameters:")
 print("  (alpha, beta)    k=0          k=1          k=2          k=3")
 for alpha, beta in ((0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (0.9, 0.9)):
     w = bdf_cq_weights(2, alpha, beta, TAU, J).weights
-    idx = [index_k(w, k, J, compensated=True) for k in range(4)]
+    idx = [index_k(w, k, J) for k in range(4)]
     print(f"  ({alpha:3.1f}, {beta:3.1f})  " + "  ".join(f"{v:11.3e}" for v in idx))
 print("  -> negative first/second/third differences appear as alpha, beta")
 print("     grow: no second-order linear multistep generating function can")

@@ -50,28 +50,22 @@ class IndexReport:
     argmin_j: np.ndarray
 
 
-def alternating_diff(w: np.ndarray, k: int, j: int, compensated: bool = False) -> float:
-    """k-th alternating forward difference of w at offset j.
-
-    With ``compensated`` set, the binomial-weighted sum is accumulated with
-    Kahan compensation (third differences of small weights sit near the
-    double-precision noise floor).
-    """
+def alternating_diff(w: np.ndarray, k: int, j: int) -> float:
+    """k-th alternating forward difference of w at offset j."""
     w = np.asarray(w, dtype=float)
     if k < 0 or j < 0 or j + k >= w.size:
         raise IndexError(f"difference (k={k}, j={j}) out of range for {w.size} weights")
-    return float(_diff_all(w[j : j + k + 1], k, compensated)[0])
+    return float(_diff_all(w[j : j + k + 1], k)[0])
 
 
-def _diff_all(w: np.ndarray, k: int, compensated: bool) -> np.ndarray:
-    """Vector of (I-S)^k w_j for every admissible j, computed columnwise."""
+def _diff_all(w: np.ndarray, k: int) -> np.ndarray:
+    """Vector of (I-S)^k w_j for every admissible j, computed columnwise.
+
+    The binomial-weighted sum is accumulated with Kahan compensation: third
+    differences of small weights sit near the double-precision noise floor.
+    """
     coeffs = np.array([(-1.0) ** n * math.comb(k, n) for n in range(k + 1)])
     m = w.size - k
-    if not compensated:
-        out = np.zeros(m)
-        for n in range(k + 1):
-            out += coeffs[n] * w[n : n + m]
-        return out
     total = np.zeros(m)
     comp = np.zeros(m)
     for n in range(k + 1):
@@ -82,14 +76,14 @@ def _diff_all(w: np.ndarray, k: int, compensated: bool) -> np.ndarray:
     return total
 
 
-def index_k(w: np.ndarray, k: int, j_max: int, compensated: bool = False) -> float:
+def index_k(w: np.ndarray, k: int, j_max: int) -> float:
     """Minimum of the k-th alternating difference over j in [0, j_max - k]."""
     w = np.asarray(w, dtype=float)
     if j_max >= w.size:
         raise ValueError(f"window J={j_max} needs at least J+1 weights, got {w.size}")
     if k > j_max:
         raise ValueError(f"difference order k={k} exceeds window J={j_max}")
-    return float(_diff_all(w[: j_max + 1], k, compensated).min())
+    return float(_diff_all(w[: j_max + 1], k).min())
 
 
 def indicator_rho(x: float) -> int:
@@ -104,12 +98,12 @@ def default_grid(step: float = 0.05) -> np.ndarray:
 
 
 def _sweep_point(args) -> tuple[float, float, IndexReport]:
-    scheme, alpha, beta, tau, j_max, k_max, compensated = args
+    scheme, alpha, beta, tau, j_max, k_max = args
     w = generate_weights(scheme, alpha, beta, tau, j_max).weights
     indices = np.empty(k_max + 1)
     argmins = np.empty(k_max + 1, dtype=int)
     for k in range(k_max + 1):
-        diffs = _diff_all(w[: j_max + 1], k, compensated)
+        diffs = _diff_all(w[: j_max + 1], k)
         argmins[k] = int(np.argmin(diffs))
         indices[k] = diffs[argmins[k]]
     return alpha, beta, IndexReport(k_max=k_max, j_max=j_max, indices=indices, argmin_j=argmins)
@@ -123,7 +117,6 @@ def sweep_grid(
     j_max: int,
     k_max: int,
     threads: int | None = None,
-    compensated: bool = True,
 ) -> list[tuple[float, float, IndexReport]]:
     """Evaluate index_k for k <= k_max over the (alpha, beta) grid.
 
@@ -132,11 +125,7 @@ def sweep_grid(
     """
     if len(alpha_grid) == 0 or len(beta_grid) == 0:
         raise ValueError("alpha and beta grids must be nonempty")
-    jobs = [
-        (scheme, float(a), float(b), tau, j_max, k_max, compensated)
-        for a in alpha_grid
-        for b in beta_grid
-    ]
+    jobs = [(scheme, float(a), float(b), tau, j_max, k_max) for a in alpha_grid for b in beta_grid]
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or len(jobs) < 4:

@@ -66,7 +66,7 @@ def test_cm_check_single_point(tmp_path):
     w = cm2_weights(0.5, 0.5, 0.01, 200).weights
     for row in rows:
         k = int(row[2])
-        assert float(row[3]) == pytest.approx(index_k(w, k, 200, compensated=True), abs=1e-16)
+        assert float(row[3]) == pytest.approx(index_k(w, k, 200), abs=1e-16)
         assert row[4] == "1"
 
 
@@ -211,3 +211,112 @@ def test_check_mode_kernel(tmp_path):
         "kernel", "--alpha", "1.0", "--beta", "1.0", "--points", "5",
         "--out", str(tmp_path), "--check",
     ]) == 0
+
+
+ENERGY_2X2 = ["energy", "--alpha", "0.5", "--beta", "0.5", "--nx", "2", "--ny", "2"]
+CONVERGENCE_2X2 = ["convergence", "--alpha", "0.5", "--beta", "0.5", "--nx", "2", "--ny", "2"]
+KERNEL = ["kernel", "--alpha", "0.5", "--beta", "0.5"]
+WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # domain errors raised while the experiment runs
+    pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--nx", "0"], id="nx-0"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--alpha", "1.5"], id="alpha-1.5"),
+    pytest.param(ENERGY_2X2 + ["--tau", "-0.5"], id="tau-negative"),
+    pytest.param(WEIGHTS + ["--J", "-1"], id="J-negative"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "0.1"],
+                 id="tau-ref-not-dividing"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.1"], id="taus-not-halving"),
+    # cross-option nonsense that validate refuses
+    pytest.param(["cm-check", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.01", "--J", "2"],
+                 id="kmax-above-J"),
+    pytest.param(["cm-check", "--tau", "0.01", "--grid-step", "0"], id="grid-step-0"),
+    pytest.param(["cm-check", "--tau", "0.01", "--grid-step", "1"], id="grid-step-1"),
+    pytest.param(KERNEL + ["--points", "0"], id="points-0"),
+    pytest.param(KERNEL + ["--tmin", "0"], id="tmin-0"),
+    pytest.param(KERNEL + ["--tmin", "2", "--tmax", "2"], id="tmin-equals-tmax"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0"], id="tau-0"),
+    # a value its option's parser rejects
+    pytest.param(WEIGHTS + ["--J", "ten"], id="J-not-an-integer"),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hnmx: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Every config key, its flag, and two non-default values that a convergence
+# run accepts (the second one overrides the first).
+OPTIONS = {
+    "scheme": ("--scheme", "bdf2", "bdf1"),
+    "alpha": ("--alpha", "0.3", "0.4"),
+    "beta": ("--beta", "0.7", "0.6"),
+    "tau": ("--tau", "0.25,0.125", "0.5,0.25"),
+    "nx": ("--nx", "8", "9"),
+    "ny": ("--ny", "6", "7"),
+    "T": ("--T", "2", "3"),
+    "J": ("--J", "50", "60"),
+    "kmax": ("--kmax", "2", "1"),
+    "grid_step": ("--grid-step", "0.1", "0.2"),
+    "tolerance": ("--tolerance", "1e-12", "1e-11"),
+    "eps_inf": ("--eps-inf", "2", "3"),
+    "delta_eps": ("--delta-eps", "0.5", "0.25"),
+    "mode": ("--mode", "vs_exact", "vs_reference"),
+    "tau_ref": ("--tau-ref", "0.0625", "0.03125"),
+    "tmin": ("--tmin", "0.01", "0.02"),
+    "tmax": ("--tmax", "5", "6"),
+    "points": ("--points", "9", "10"),
+    "out": ("--out", "results", "elsewhere"),
+    "threads": ("--threads", "1", "2"),
+}
+BASE = {"alpha": "0.5", "beta": "0.5", "tau": "0.5"}
+
+
+def _config_from(tmp_path, file_values, flags):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in file_values.items()))
+    return build_config(["convergence", "--config", str(path), *flags])
+
+
+@pytest.mark.parametrize("key", OPTIONS)
+def test_config_key_matches_flag(tmp_path, monkeypatch, key):
+    monkeypatch.delenv("HNMX_OUT", raising=False)
+    flag, value, override = OPTIONS[key]
+    base = {k: v for k, v in BASE.items() if k != key}
+    from_file = _config_from(tmp_path, {**base, key: value}, [])
+    assert from_file == _config_from(tmp_path, base, [flag, value])
+    assert from_file != _config_from(tmp_path, BASE, [])  # the value is not the default
+    # the flag wins over the file
+    assert _config_from(tmp_path, {**base, key: value}, [flag, override]) == _config_from(
+        tmp_path, base, [flag, override]
+    )
+
+
+# The config line of one fixed invocation, as the harness has always written it:
+# it records runs, so the name of an option in it must not drift.
+PINNED_ARGV = [
+    "convergence", "--scheme", "bdf2", "--alpha", "0.3", "--beta", "0.7", "--tau", "0.25,0.125",
+    "--nx", "8", "--ny", "6", "--T", "2", "--J", "50", "--kmax", "2", "--grid-step", "0.1",
+    "--tolerance", "1e-12", "--eps-inf", "2", "--delta-eps", "0.5", "--mode", "vs_exact",
+    "--tau-ref", "0.0625", "--tmin", "0.01", "--tmax", "5", "--points", "9", "--out", "results",
+    "--check", "--threads", "1",
+]
+PINNED_COMMENT = (
+    "# config: experiment=convergence scheme=bdf2 alpha=0.3 beta=0.7 tau=0.25,0.125 nx=8 ny=6 "
+    "T=2.0 J=50 kmax=2 grid_step=0.1 tolerance=1e-12 eps_inf=2.0 delta_eps=0.5 mode=vs_exact "
+    "tau_ref=0.0625 tmin=0.01 tmax=5.0 points=9 out=results check=True threads=1"
+)
+
+
+def test_resolved_comment_pinned():
+    assert build_config(PINNED_ARGV).resolved_comment() == PINNED_COMMENT
+
+
+def test_resolved_comment_names_options_by_key(monkeypatch):
+    monkeypatch.delenv("HNMX_OUT", raising=False)
+    comment = build_config(["cm-check", "--tau", "0.01"]).resolved_comment()
+    names = [part.split("=", 1)[0] for part in comment.removeprefix("# config: ").split(" ")]
+    keys = [k for k in OPTIONS if k != "threads"]
+    assert names == ["experiment", *keys, "check", "threads"]

@@ -27,11 +27,9 @@ def test_first_difference():
 
 
 def test_third_difference_extended_precision_oracle():
-    w = cm2_weights(0.5, 0.5, 0.01, 10).weights
-    for compensated in (False, True):
-        val = alternating_diff(w, 3, 0, compensated=compensated)
-        assert val == pytest.approx(THIRD_DIFF_AT_0, rel=1e-13)
-        assert val >= 0.0
+    val = alternating_diff(cm2_weights(0.5, 0.5, 0.01, 10).weights, 3, 0)
+    assert val == pytest.approx(THIRD_DIFF_AT_0, rel=1e-13)
+    assert val >= 0.0
 
 
 def test_recursive_consistency():
@@ -95,9 +93,7 @@ def test_sweep_single_point_matches_direct():
     alpha, beta, report = rows[0]
     w = cm2_weights(0.5, 0.5, 0.01, 200).weights
     for k in range(4):
-        assert report.indices[k] == pytest.approx(
-            index_k(w, k, 200, compensated=True), abs=1e-16
-        )
+        assert report.indices[k] == pytest.approx(index_k(w, k, 200), abs=1e-16)
 
 
 def test_sweep_parallel_matches_serial():
