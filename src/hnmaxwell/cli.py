@@ -253,7 +253,7 @@ def _cm_checks(cfg: ExperimentConfig) -> tuple:
 
 
 class _Experiment(NamedTuple):
-    run: Callable  # cfg -> (file name, header, data lines) per CSV, one at a time
+    run: Callable  # cfg -> (file name, header, data lines) per CSV
     required: tuple[str, ...]  # fields that must be given
     single: tuple[str, ...]  # list fields that must hold exactly one value
     rules: tuple[Callable, ...]  # cfg -> None, or ValueError on nonsense input
@@ -284,7 +284,8 @@ def run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     comment = cfg.resolved_comment()
-    for name, header, lines in spec.run(cfg):
+    outputs = list(spec.run(cfg))  # a refused run raises before any CSV is written
+    for name, header, lines in outputs:
         path = out / name
         path.write_text("\n".join([comment, header, *lines]) + "\n")
         print(f"wrote {path}")

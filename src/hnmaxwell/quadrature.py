@@ -36,6 +36,7 @@ moment sequence, hence completely monotone by construction; the fit refuses
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,7 +111,7 @@ class ExpSum:
     rates: np.ndarray
     miss: float
 
-    @property
+    @functools.cached_property  # read once per time level by the stepper
     def w0(self) -> float:
         return float(self.coeffs.sum())
 

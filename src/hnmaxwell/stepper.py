@@ -11,15 +11,18 @@ The weights are a positive exponential sum w_j = sum_l c_l r_l^j (c_l > 0,
 :mod:`hnmaxwell.quadrature`, which refuses tables that are not completely
 monotone.  The memory is then L accumulators instead of the whole history:
 A_l^n = sum_{k<=n} r_l^{n-k} e^k and B_l^n = sum_{k<=n} r_l^{n-k} ||E^k||^2,
-so a step costs O(L * dofs) whatever n is.  B_l is updated at every level.
+so a step costs O(L * dofs) whatever n is.  A step reads the history through
+one product, the sum S^m = sum_{k<m} w_{m-k} e^k = sum_l c_l r_l A_l^{m-1}:
+it closes the step and gives P^m = delta_eps (w0 e^m + S^m) + M_E^{-1} g3(t_m),
+which the state keeps for the next step.  B_l is updated at every level.
 A_l is updated in blocks of ``BLOCK`` = K levels, the near/far split of fast
 convolution (Lubich & Schaedle, SIAM J. Sci. Comput. 24 (2002) 161-182): the
 state holds A^b of the last block boundary b, the fields e^{b+1..n} of the
-open block ("near"), and the part of the next K history increments that
-comes from A^b ("far").  With j = n - b,
+open block ("near"), and the part of the next K history sums that comes from
+A^b ("far").  With j = n - b,
 
-    sum_l c_l (r_l - 1) A_l^n = far_j + sum_{i=1}^{j} u_{j-i} e^{b+i},
-    far_k = sum_l c_l (r_l - 1) r_l^k A_l^b,   u_k = sum_l c_l (r_l - 1) r_l^k,
+    S^{n+1} = far_j + sum_{i=1}^{j} w_hat_{j+1-i} e^{b+i},
+    far_k = sum_l c_l r_l^{k+1} A_l^b,   w_hat_k = sum_l c_l r_l^k,
 
 so a step reads j + 1 field rows instead of L.  When the block is full,
 A^{b+K} = r^K A^b + sum_i r^{K-i} e^{b+i} and the next far are one matrix
@@ -30,19 +33,19 @@ Eliminating H and P from the step leaves one linear system per step,
 
     A e^m = rhs,   A = ((eps_inf + delta_eps*w0)/tau) M_E + (tau/4) C^T M_H^{-1} C,
 
-with w0 = sum_l c_l and the memory term M_E sum_l c_l (r_l - 1) A_l in rhs.
+with w0 = sum_l c_l and the memory term M_E (P^{m-1} - delta_eps S^m)/tau -
+g3(t_m)/tau in rhs.  P is recomputed from S at every level, never
+accumulated, so rounding made at earlier levels stays damped by r_l < 1.
 The whole trajectory runs in the mesh's sine/cosine eigenbasis
 (:attr:`hnmaxwell.fem.MaxwellMesh.modes`), where M_E and M_H are diagonal and
 C maps each E mode onto one H mode: A is diagonal plus rank one on the at
 most two E modes of each H mode and is solved in closed form
-(Sherman-Morrison), M_E^{-1} is a division, H follows explicitly, the
+(Sherman-Morrison), M_E^{-1} is a division, H follows explicitly, and the
 norms are sums over modes weighted by the diagonal masses (Parseval,
-:meth:`hnmaxwell.fem.MeshModes.edge_norm_sq`), and
-P^n = delta_eps sum_l c_l A_l^n + M_E^{-1} g3(t_n) is formed from A^b and the
-open block only when it is read.  This relies on the uniform tensor mesh that
-:mod:`hnmaxwell.fem` builds; a non-uniform mesh would need a sparse solve.
-No sparse matrix is assembled: the state is built from the mesh, and
-``step(state)`` reads nothing else.
+:meth:`hnmaxwell.fem.MeshModes.edge_norm_sq`).  This relies on the uniform
+tensor mesh that :mod:`hnmaxwell.fem` builds; a non-uniform mesh would need a
+sparse solve.  No sparse matrix is assembled: the state is built from the
+mesh, and ``step(state)`` reads nothing else.
 With zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
@@ -57,10 +60,10 @@ changes sign across the step (rough fields, large tau).
 
 Each source g1 (Ampere), g2 (Faraday) and g3 is separable, sum_i f_i(t) s_i(x, y);
 :meth:`SourceSet.assemble` turns every s_i into a load vector L_i once, and a
-step forms G(t_m) = sum_i f_i(t_m) L_i once, all in modal form, and keeps it
-in the state for the next step.  g1 and g2 enter as endpoint averages
-(G(t_m) + G(t_{m-1}))/2, g3 as the difference G(t_m) - G(t_{m-1}) in the
-step and through M_E^{-1} G(t_n) in P.
+step forms G(t_m) = sum_i f_i(t_m) L_i once, all in modal form.  g1 and g2
+enter as endpoint averages (G(t_m) + G(t_{m-1}))/2, so the state keeps them
+for the next step; g3 enters the step as G(t_m) and P^m through
+M_E^{-1} G(t_m), and its value at t_{m-1} is inside P^{m-1}.
 """
 
 from __future__ import annotations
@@ -246,33 +249,26 @@ class BlockTables:
 
     - ``fold_old[l]`` = p_Kl and ``fold_new[l, i]`` = p_{K-1-i,l}, so a full
       block folds into A^{b+K} = fold_old * A^b + fold_new @ near;
-    - ``far_map[k, l]`` = c_l (r_l - 1) p_kl, so far = far_map @ A^b;
-    - ``value_far[k, l]`` = c_l p_kl, the weights of A^b in sum_l c_l A_l^{b+k};
-    - ``inc_near[K-1-k]`` = u_k = sum_l far_map[k, l] and
-      ``value_near[K-1-k]`` = w_hat_k = sum_l value_far[k, l], reversed so that
-      the last j entries weight near_0 .. near_{j-1}.
+    - ``far_weights[k, l]`` = c_l p_{k+1,l}, so far = far_weights @ A^b;
+    - ``near_weights[K-1-k]`` = w_hat_{k+1} = sum_l far_weights[k, l], reversed
+      so that the last j entries weight near_0 .. near_{j-1}.
     """
 
     fold_old: np.ndarray
     fold_new: np.ndarray
-    far_map: np.ndarray
-    value_far: np.ndarray
-    inc_near: np.ndarray
-    value_near: np.ndarray
+    far_weights: np.ndarray
+    near_weights: np.ndarray
 
     @classmethod
     def build(cls, memory: ExpSum) -> "BlockTables":
         powers = memory.rates ** np.arange(BLOCK + 1)[:, None]
         powers[powers < POWER_FLOOR] = 0.0
-        value_far = memory.coeffs * powers[:BLOCK]
-        far_map = (memory.rates - 1.0) * value_far
+        far_weights = memory.coeffs * powers[1:]
         return cls(
             fold_old=powers[BLOCK],
             fold_new=np.ascontiguousarray(powers[BLOCK - 1 :: -1].T),
-            far_map=far_map,
-            value_far=value_far,
-            inc_near=far_map.sum(axis=1)[::-1].copy(),
-            value_near=value_far.sum(axis=1)[::-1].copy(),
+            far_weights=far_weights,
+            near_weights=far_weights.sum(axis=1)[::-1].copy(),
         )
 
 
@@ -283,25 +279,27 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepperState:
-    """Mutable run state in modal form: E and H at level n, the memory
+    """Mutable run state in modal form: E, H and P at level n, the memory
     accumulators, the source values at t_n, and everything a step reads.
 
-    ``e`` and ``h`` are modal E and H (see :class:`hnmaxwell.fem.MeshModes`).
+    ``e``, ``h`` and ``p`` are modal E, H and P (see
+    :class:`hnmaxwell.fem.MeshModes`); ``p`` is set once per level from the
+    history sum S of that level's step, the one history product a step forms.
     The E memory is kept in blocks of ``BLOCK`` = K levels, b being the last
     block boundary (b = -1 before the first, with A^{-1} = 0):
 
     - row l of ``acc_e`` holds the modal A_l^b = sum_{k<=b} r_l^{b-k} e^k;
     - row i of ``near`` holds e^{b+1+i} for the j = n - b levels of the open
       block (i < j; later rows are stale);
-    - row k of ``far`` holds sum_l c_l (r_l - 1) r_l^k A_l^b, the part of the
-      history increment of step b+k+1 that comes from A^b.
+    - row k of ``far`` holds sum_l c_l r_l^{k+1} A_l^b, the part of the
+      history sum S of step b+k+1 that comes from A^b.
 
     Entry l of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2,
     updated at every level, and ``e_norm_sq`` is ||E^n||^2.  Every update
     multiplies the old sums by powers of r_l < 1, so rounding errors made at
     earlier levels are damped, not grown.  ``tables`` holds the power tables
-    of ``memory`` the blocked update reads.  ``g1``, ``g2`` and ``g3`` are the
-    modal sources at t_n (None where ``sources`` has none), so each source is
+    of ``memory`` the blocked update reads.  ``g1`` and ``g2`` are the modal
+    sources at t_n (None where ``sources`` has none), so each source is
     evaluated once per level.  The fit holds for levels up to
     ``memory.order``, which bounds the run.
     """
@@ -314,6 +312,7 @@ class StepperState:
     n: int
     e: np.ndarray
     h: np.ndarray
+    p: np.ndarray
     acc_e: np.ndarray
     near: np.ndarray
     far: np.ndarray
@@ -322,19 +321,6 @@ class StepperState:
     e_norm_sq: float = 0.0
     g1: np.ndarray | None = None
     g2: np.ndarray | None = None
-    g3: np.ndarray | None = None
-
-    @property
-    def p(self) -> np.ndarray:
-        """Modal P^n = delta_eps sum_l c_l A_l^n + M_E^{-1} g3(t_n), with
-        sum_l c_l A_l^n = sum_l c_l r_l^j A_l^b + sum_{i<j} w_hat_{j-1-i} near_i."""
-        j, t = self.n - self.block_start, self.tables
-        conv = t.value_far[j] @ _rows(self.acc_e)
-        conv += t.value_near[BLOCK - j :] @ _rows(self.near)[:j]
-        p = self.params.delta_eps * conv.reshape(self.e.shape)
-        if self.g3 is not None:
-            p += self.operator.solve_mass(self.g3)
-        return p
 
     @property
     def fields(self) -> FieldVectors:
@@ -354,10 +340,6 @@ class StepperState:
     @property
     def tau(self) -> float:
         return self.memory.tau
-
-    @property
-    def t(self) -> float:
-        return self.n * self.tau
 
     @property
     def capacity(self) -> int:
@@ -387,6 +369,7 @@ def init_state(
         n=0,
         e=e,
         h=modes.cells_to_modes(np.asarray(h0, dtype=float)),
+        p=e,  # placeholder, set by _close_level
         acc_e=np.zeros((n_rates, *e.shape)),
         near=np.zeros((BLOCK, *e.shape)),
         far=np.zeros((BLOCK, *e.shape)),
@@ -394,9 +377,8 @@ def init_state(
         tables=BlockTables.build(memory),
         g1=g1,
         g2=g2,
-        g3=g3,
     )
-    _close_level(state)
+    _close_level(state, 0.0, g3)
     return state
 
 
@@ -410,38 +392,50 @@ def step(state: StepperState) -> StepperState:
     e_prev, h_prev = state.e, state.h
     g1, g2, g3 = state.sources.at(m * tau)
 
-    # history increment of the discrete convolution:
-    # sum_{k<m} (w_{m-k} - w_{m-1-k}) e^k = sum_l c_l (r_l - 1) A_l^{m-1}
+    # delta_eps times the history sum S = sum_{k<m} w_{m-k} e^k = sum_l c_l r_l A_l^{m-1}
     j = m - 1 - state.block_start
-    recent = state.tables.inc_near[BLOCK - j :] @ _rows(state.near)[:j]
-    increment = state.far[j] + recent.reshape(e_prev.shape)
-    rhs = modes.mass * ((params.eps_inf / tau) * e_prev - (params.delta_eps / tau) * increment)
+    recent = state.tables.near_weights[BLOCK - j :] @ _rows(state.near)[:j]
+    history = state.far[j] + recent.reshape(e_prev.shape)
+    history *= params.delta_eps
+    # (M_E (eps_inf e^{m-1} + P^{m-1} - delta_eps S) - g3(t_m)) / tau
+    rhs = state.p - history
+    rhs += params.eps_inf * e_prev
+    rhs *= modes.mass
+    if g3 is not None:
+        rhs -= g3
+    rhs /= tau
     # C^T (h - (tau/4) M_H^{-1} C e), plus the g2 term inside the bracket
-    h_part = h_prev - 0.25 * tau * (modes.curl * e_prev).sum(axis=0) / modes.area
+    h_part = h_prev - (0.25 * tau / modes.area) * (modes.curl * e_prev).sum(axis=0)
 
     b2 = None
     if g2 is not None:
         b2 = 0.5 * (g2 + state.g2)
-        h_part += 0.5 * tau * b2 / modes.area
+        h_part += (0.5 * tau / modes.area) * b2
     rhs += modes.curl * h_part
     if g1 is not None:
         rhs += 0.5 * (g1 + state.g1)
-    if g3 is not None:
-        rhs -= (g3 - state.g3) / tau
 
     state.e = state.operator.solve(rhs)
-    state.h = h_prev - 0.5 * tau * (modes.curl * (state.e + e_prev)).sum(axis=0) / modes.area
+    state.h = h_prev - (0.5 * tau / modes.area) * (modes.curl * (state.e + e_prev)).sum(axis=0)
     if b2 is not None:
-        state.h += tau * b2 / modes.area
+        state.h += (tau / modes.area) * b2
     state.n = m
-    state.g1, state.g2, state.g3 = g1, g2, g3
-    _close_level(state)
+    state.g1, state.g2 = g1, g2
+    _close_level(state, history, g3)
     return state
 
 
-def _close_level(state: StepperState) -> None:
-    """Add e^n and ||E^n||^2 of the current level to the memory; a full block
-    is folded into A and the next far part."""
+def _close_level(
+    state: StepperState, history: np.ndarray | float, g3: np.ndarray | None
+) -> None:
+    """Set P^n = delta_eps (w0 e^n + S) + M_E^{-1} g3(t_n) from ``history`` =
+    delta_eps S of level n, and add e^n and ||E^n||^2 to the memory; a full
+    block is folded into A and the next far part."""
+    p = (state.params.delta_eps * state.memory.w0) * state.e
+    p += history
+    if g3 is not None:
+        p += state.operator.solve_mass(g3)
+    state.p = p
     state.e_norm_sq = state.mesh.modes.edge_norm_sq(state.e)
     state.acc_norm_sq = state.memory.rates * state.acc_norm_sq + state.e_norm_sq
     row = state.n % BLOCK
@@ -450,7 +444,7 @@ def _close_level(state: StepperState) -> None:
         t, acc = state.tables, _rows(state.acc_e)
         acc *= t.fold_old[:, None]
         acc += t.fold_new @ _rows(state.near)
-        np.matmul(t.far_map, acc, out=_rows(state.far))
+        np.matmul(t.far_weights, acc, out=_rows(state.far))
 
 
 @dataclass(frozen=True)

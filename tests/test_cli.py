@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from hnmaxwell import checks
 from hnmaxwell.cli import build_config, main
 from hnmaxwell.monotonicity import index_k
 from hnmaxwell.prabhakar import hn_kernel
@@ -223,11 +224,17 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
     # domain errors raised while the experiment runs
     pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--nx", "0"], id="nx-0"),
     pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--alpha", "1.5"], id="alpha-1.5"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--eps-inf", "0.5"], id="eps-inf-0.5"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--delta-eps", "-1"], id="delta-eps-negative"),
     pytest.param(ENERGY_2X2 + ["--tau", "-0.5"], id="tau-negative"),
     pytest.param(WEIGHTS + ["--J", "-1"], id="J-negative"),
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "0.1"],
                  id="tau-ref-not-dividing"),
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.1"], id="taus-not-halving"),
+    # refused at a later pair, after earlier pairs ran: still no CSV
+    pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--alpha", "0.5,1.5"], id="second-pair-alpha-1.5"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--scheme", "bdf2", "--alpha", "0.5,0.9",
+                               "--beta", "0.5,0.9"], id="last-pair-not-cm"),
     # cross-option nonsense that validate refuses
     pytest.param(["cm-check", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.01", "--J", "2"],
                  id="kmax-above-J"),
@@ -245,6 +252,23 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("hnmx: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_check_mode_bdf2_certificate(tmp_path, capsys):
+    assert main([
+        "cm-check", "--scheme", "bdf2", "--tau", "0.01", "--J", "200", "--alpha", "0.9",
+        "--beta", "0.9", "--threads", "1", "--out", str(tmp_path), "--check",
+    ]) == 0
+    assert "[PASS] bdf2 " in capsys.readouterr().out
+
+
+def test_failed_check_exits_1(tmp_path, monkeypatch):
+    failed = checks.CheckResult("Debye limits", passed=False, detail="forced", elapsed=0.0)
+    monkeypatch.setattr(checks, "check_debye_limits", lambda: failed)
+    assert main([
+        "kernel", "--alpha", "1", "--beta", "1", "--points", "5", "--out", str(tmp_path),
+        "--check",
+    ]) == 1
 
 
 # Every config key, its flag, and two non-default values that a convergence

@@ -96,6 +96,14 @@ class TestStepOperator:
             StepOperator(build_mesh(2, 2), default_params(), 0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("eps_inf", 0.5), ("delta_eps", -1.0)], ids=["eps_inf-0.5", "delta_eps-neg"]
+)
+def test_params_refuse_nonphysical_medium(field, value):
+    with pytest.raises(ValueError, match=field):
+        default_params(**{field: value})
+
+
 class TestStepBasics:
     def test_zero_data_stays_zero(self):
         mesh = build_mesh(4, 4)
