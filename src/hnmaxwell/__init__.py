@@ -33,7 +33,7 @@ from .quadrature import (
     fit_exp_sum,
     generate_weights,
 )
-from .series import TruncatedSeries, binom_series, series_mul, series_pow
+from .series import binom_series, series_mul, series_pow
 from .stepper import (
     EnergyTrace,
     ErrorReport,

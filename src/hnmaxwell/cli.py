@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -101,6 +102,9 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment}: missing required option {_flag(key)}")
             if f_.name in spec.single and len(val) != 1:
                 raise ValueError(f"{self.experiment}: {_flag(key)} must be a single value")
+            for v in val if isinstance(val, list) else [val]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{key}={v} must be a finite number")
         for tau in self.taus:
             if not tau > 0:
                 raise ValueError(f"tau={tau:g} must be positive")

@@ -19,7 +19,9 @@ rows/columns are eliminated symmetrically, keeping the reduced edge mass
 matrix symmetric positive definite.
 
 On this uniform grid both mass matrices and the curl are diagonal in a
-sine/cosine basis, :attr:`MaxwellMesh.modes`, in which the stepper runs.
+sine/cosine basis, :attr:`MaxwellMesh.modes`, in which the stepper runs;
+:func:`assemble` builds the matrices themselves, densely, as the definition
+and the tests' oracle.
 
 2D curl conventions: for a scalar field, curl H = (dH/dy, -dH/dx); for a
 vector field, curl E = dE2/dx - dE1/dy.  The curl matrix C maps edge dofs to
@@ -37,7 +39,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "MaxwellMesh",
@@ -263,18 +264,19 @@ class FieldVectors:
 
 @dataclass(frozen=True)
 class AssembledOperators:
-    """Mass and curl matrices of the edge/cell pair of spaces.
+    """Mass, curl and gradient matrices of the edge/cell pair of spaces, dense.
 
     They act on all edges and define the discretization; the reduced system
     is their restriction to ``mesh.free_edges``.  The stepper uses their
-    eigenbasis, :attr:`MaxwellMesh.modes`, instead.
+    eigenbasis, :attr:`MaxwellMesh.modes`, instead, so only the structure
+    check and the tests assemble them (about 70 MB on a 32 x 32 mesh).
     """
 
     mesh: MaxwellMesh
-    m_e_full: sp.csr_matrix
+    m_e_full: np.ndarray
     m_h_diag: np.ndarray
-    c_full: sp.csr_matrix
-    grad_full: sp.csr_matrix
+    c_full: np.ndarray
+    grad_full: np.ndarray
 
 
 def build_mesh(nx: int, ny: int) -> MaxwellMesh:
@@ -282,59 +284,36 @@ def build_mesh(nx: int, ny: int) -> MaxwellMesh:
 
 
 def assemble(mesh: MaxwellMesh) -> AssembledOperators:
-    """Assemble mass, curl and discrete-gradient matrices for the mesh."""
+    """Assemble dense mass, curl and discrete-gradient matrices for the mesh."""
     area = mesh.hx * mesh.hy
     ce = mesh.cell_edges
     bot, top, left, right = ce["bottom"], ce["top"], ce["left"], ce["right"]
 
     # Edge mass: per cell, the two parallel-edge hats couple as
     # area * [[1/3, 1/6], [1/6, 1/3]]; perpendicular components are L2-orthogonal.
-    rows, cols, vals = [], [], []
+    m_e_full = np.zeros((mesh.n_edges, mesh.n_edges))
     for a, b in ((bot, top), (left, right)):
-        rows += [a, b, a, b]
-        cols += [a, b, b, a]
-        vals += [
-            np.full(mesh.n_cells, area / 3.0),
-            np.full(mesh.n_cells, area / 3.0),
-            np.full(mesh.n_cells, area / 6.0),
-            np.full(mesh.n_cells, area / 6.0),
-        ]
-    m_e_full = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_edges, mesh.n_edges),
-    ).tocsr()
+        np.add.at(m_e_full, (np.concatenate([a, b]), np.concatenate([a, b])), area / 3.0)
+        np.add.at(m_e_full, (np.concatenate([a, b]), np.concatenate([b, a])), area / 6.0)
 
     # Curl matrix: row per cell, counterclockwise circulation of the edge dofs.
     cells = np.arange(mesh.n_cells)
-    c_rows = np.concatenate([cells] * 4)
-    c_cols = np.concatenate([bot, top, left, right])
-    c_vals = np.concatenate(
-        [
-            np.full(mesh.n_cells, mesh.hx),
-            np.full(mesh.n_cells, -mesh.hx),
-            np.full(mesh.n_cells, -mesh.hy),
-            np.full(mesh.n_cells, mesh.hy),
-        ]
-    )
-    c_full = sp.coo_matrix(
-        (c_vals, (c_rows, c_cols)), shape=(mesh.n_cells, mesh.n_edges)
-    ).tocsr()
+    c_full = np.zeros((mesh.n_cells, mesh.n_edges))
+    for edges, value in ((bot, mesh.hx), (top, -mesh.hx), (left, -mesh.hy), (right, mesh.hy)):
+        np.add.at(c_full, (cells, edges), value)
 
     # Node-to-edge gradient: tangential slope along each edge.
+    grad_full = np.zeros((mesh.n_edges, mesh.n_nodes))
     ix, iy = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1), indexing="xy")
     ix, iy = ix.ravel(), iy.ravel()
-    g_rows = [mesh.horizontal_edge(ix, iy)] * 2
-    g_cols = [mesh.node(ix + 1, iy), mesh.node(ix, iy)]
-    g_vals = [np.full(ix.size, 1.0 / mesh.hx), np.full(ix.size, -1.0 / mesh.hx)]
+    edges = mesh.horizontal_edge(ix, iy)
+    np.add.at(grad_full, (edges, mesh.node(ix + 1, iy)), 1.0 / mesh.hx)
+    np.add.at(grad_full, (edges, mesh.node(ix, iy)), -1.0 / mesh.hx)
     ix, iy = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny), indexing="xy")
     ix, iy = ix.ravel(), iy.ravel()
-    g_rows += [mesh.vertical_edge(ix, iy)] * 2
-    g_cols += [mesh.node(ix, iy + 1), mesh.node(ix, iy)]
-    g_vals += [np.full(ix.size, 1.0 / mesh.hy), np.full(ix.size, -1.0 / mesh.hy)]
-    grad_full = sp.coo_matrix(
-        (np.concatenate(g_vals), (np.concatenate(g_rows), np.concatenate(g_cols))),
-        shape=(mesh.n_edges, mesh.n_nodes),
-    ).tocsr()
+    edges = mesh.vertical_edge(ix, iy)
+    np.add.at(grad_full, (edges, mesh.node(ix, iy + 1)), 1.0 / mesh.hy)
+    np.add.at(grad_full, (edges, mesh.node(ix, iy)), -1.0 / mesh.hy)
 
     return AssembledOperators(
         mesh=mesh,

@@ -121,15 +121,16 @@ def sweep_grid(
     """Evaluate index_k for k <= k_max over the (alpha, beta) grid.
 
     Results are returned row-major over the grid (alpha outer, beta inner)
-    regardless of worker scheduling.
+    regardless of worker scheduling.  The pool never holds more processes than
+    there are cells or CPUs, whatever ``threads`` asks for.
     """
     if len(alpha_grid) == 0 or len(beta_grid) == 0:
         raise ValueError("alpha and beta grids must be nonempty")
     jobs = [(scheme, float(a), float(b), tau, j_max, k_max) for a in alpha_grid for b in beta_grid]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(jobs) < 4:
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if threads is None else threads, len(jobs), cpus)
+    if workers <= 1 or len(jobs) < 4:
         return [_sweep_point(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(jobs) // (4 * threads))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(jobs) // (4 * workers))
         return list(pool.map(_sweep_point, jobs, chunksize=chunk))

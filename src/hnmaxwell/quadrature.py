@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .series import binom_series, series_mul, series_pow
 
@@ -197,8 +195,9 @@ def bdf_cq_weights(order: int, alpha: float, beta: float, tau: float, n: int) ->
 
 def _symbol_weights(alpha: float, beta: float, n: int, scale: float, d: float, e: float) -> np.ndarray:
     """Taylor coefficients 0..n of (1 + scale * (1-z)^alpha * (1-d*z)^e)^(-beta)."""
-    b = series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
-    return series_pow(b.scale(scale).add_scalar(1.0), -beta).coeffs
+    b = scale * series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
+    b[0] += 1.0
+    return series_pow(b, -beta)
 
 
 def generate_weights(scheme: str, alpha: float, beta: float, tau: float, n: int) -> CQWeights:
@@ -293,43 +292,50 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method.
 
     The columns are scaled to unit norm and the problem is reduced to the
-    triangular factor of [a | b].  The passive columns keep a QR
-    factorization that is updated, not recomputed, as columns enter and
-    leave, and the gradient is formed from the residual's component outside
-    their span: with nearly dependent columns that keeps its relative
-    accuracy, where the plain residual d - R x would drown it in rounding.
-    Returns the current feasible point after 10 n inner iterations.
+    triangular factor [r | d] of [a | b].  The passive columns keep a full QR
+    factorization Q R that is updated in place, not recomputed, as columns
+    enter and leave (Golub & Van Loan, Matrix Computations, 4th ed., 6.5): an
+    entering column costs one Householder reflector on rows k: and a leaving
+    one a Givens rotation per later passive column.  Q is not stored: every
+    reflector and rotation is applied to the rows of [r | d] themselves, which
+    then hold Q^T r, with R in the passive columns, and Q^T d.  The gradient
+    is formed from the residual's component outside their span, rows k: of
+    Q^T d: with nearly dependent columns that keeps its relative accuracy,
+    where the plain residual d - R x would drown it in rounding.  Returns the
+    current feasible point after 10 n inner iterations.
     """
     n = a.shape[1]
     scale = np.linalg.norm(a, axis=0)
-    raug = np.linalg.qr(np.column_stack([a / scale, b]), mode="r")
-    r, d = raug[:, :n], raug[:, n]
+    rd = np.linalg.qr(np.column_stack([a / scale, b]), mode="r")
+    r, d = rd[:, :n], rd[:, n]
     x = np.zeros(n)
     passive: list[int] = []
-    q, rp, z = np.eye(d.size), np.zeros((d.size, 0)), d
     iterations = 0
     while iterations < 10 * n:
         k = len(passive)
-        grad = r.T @ (q[:, k:] @ z[k:])
+        grad = d[k:] @ r[k:]
         grad[passive] = -np.inf
         while True:  # entering column: largest gradient among those independent of the passive ones
             j = int(np.argmax(grad))
             if grad[j] <= 0.0:
                 return x / scale
-            t = q.T @ r[:, j]
-            unorm = np.linalg.norm(t[:k])
-            if unorm + 0.01 * np.linalg.norm(t[k:]) > unorm and t[k:] @ z[k:] > 0.0:
+            head, tail = r[:k, j], r[k:, j]
+            unorm = math.sqrt(head @ head)
+            if unorm + 0.01 * math.sqrt(tail @ tail) > unorm and tail @ d[k:] > 0.0:
                 break
             grad[j] = -np.inf
-        q, rp = sla.qr_insert(q, rp, r[:, j], k, which="col", check_finite=False)
-        z = q.T @ d
+        # the reflector I - v v^T maps the tail to (alpha, 0, ..., 0)
+        v = tail.copy()
+        alpha = -math.copysign(math.sqrt(v @ v), v[0])
+        v[0] -= alpha
+        v /= math.sqrt(-alpha * v[0])
+        rd[k:] -= np.einsum("i,j->ij", v, v @ rd[k:])
+        rd[k, j], rd[k + 1 :, j] = alpha, 0.0
         passive.append(j)
         while iterations < 10 * n:  # move towards the passive solution until it is positive
             iterations += 1
             k = len(passive)
-            s, info = lapack.dtrtrs(rp[:k, :k], z[:k])
-            if info != 0:  # zero pivot: cannot happen, entering columns passed the independence test
-                return x / scale
+            s = np.linalg.solve(r[:k, passive], d[:k])  # upper triangular: LU does not pivot
             if (s > 0.0).all():
                 x[passive] = s
                 break
@@ -343,6 +349,9 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             x[passive] = xp
             for i in np.flatnonzero(xp <= 0.0)[::-1]:
                 x[passive.pop(i)] = 0.0
-                q, rp = sla.qr_delete(q, rp, i, which="col", check_finite=False)
-            z = q.T @ d
+                for p, col in enumerate(passive[i:], start=i):  # clear the subdiagonal (p + 1, p)
+                    c, sn = rd[p : p + 2, col].tolist()
+                    h = math.hypot(c, sn)
+                    rd[p : p + 2] = np.array([[c / h, sn / h], [-sn / h, c / h]]) @ rd[p : p + 2]
+                    rd[p + 1, col] = 0.0
     return x / scale

@@ -44,8 +44,8 @@ most two E modes of each H mode and is solved in closed form
 norms are sums over modes weighted by the diagonal masses (Parseval,
 :meth:`hnmaxwell.fem.MeshModes.edge_norm_sq`).  This relies on the uniform
 tensor mesh that :mod:`hnmaxwell.fem` builds; a non-uniform mesh would need a
-sparse solve.  No sparse matrix is assembled: the state is built from the
-mesh, and ``step(state)`` reads nothing else.
+sparse solve.  No matrix is assembled: the state is built from the mesh,
+and ``step(state)`` reads nothing else.
 With zero sources the discrete energy
 
     E^n = eps_inf ||E^n||^2 + ||H^n||^2 + delta_eps * sum_{k<=n} w_{n-k} ||E^k||^2
@@ -136,10 +136,10 @@ class HNParams:
     beta: float
 
     def __post_init__(self):
-        if self.eps_inf < 1.0:
-            raise ValueError(f"eps_inf must be >= 1, got {self.eps_inf}")
-        if self.delta_eps < 0.0:
-            raise ValueError(f"delta_eps must be >= 0, got {self.delta_eps}")
+        if not 1.0 <= self.eps_inf < math.inf:
+            raise ValueError(f"eps_inf must be finite and >= 1, got {self.eps_inf}")
+        if not 0.0 <= self.delta_eps < math.inf:
+            raise ValueError(f"delta_eps must be finite and >= 0, got {self.delta_eps}")
         if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
             raise ValueError(
                 f"fractional orders must lie in (0, 1], got alpha={self.alpha}, beta={self.beta}"

@@ -111,17 +111,20 @@ def test_non_cm_scheme_exits_2(tmp_path, capsys):
 
 
 def test_stepper_run_leaves_scipy_optimize_unimported(tmp_path):
-    # the exponential-sum fit carries its own NNLS; importing scipy.optimize
-    # would add a quarter second to every run.  The stepper solves in the
-    # mesh's eigenbasis, so scipy.sparse.linalg (about 30 ms) stays out too.
-    code = (
-        "import sys\n"
-        "from hnmaxwell.cli import main\n"
-        f"main(['energy', '--alpha', '0.5', '--beta', '0.5', '--tau', '0.25', '--nx', '2', "
-        f"'--ny', '2', '--out', {str(tmp_path)!r}])\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules\n"
-    )
+    # numpy is the only runtime dependency: importing any part of scipy would
+    # add about a quarter second and a second BLAS library to every run
+    runs = [
+        WEIGHTS + ["--J", "20"],
+        ["cm-check", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1", "--J", "20",
+         "--threads", "1"],
+        KERNEL + ["--points", "5"],
+        CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "0.0625"],
+        ENERGY_2X2 + ["--tau", "0.25"],
+    ]
+    code = "import sys\nfrom hnmaxwell.cli import main\n"
+    code += "".join(f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0\n" for argv in runs)
+    code += "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+    code += "assert not scipy, scipy\n"
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
 
@@ -244,6 +247,15 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
     pytest.param(KERNEL + ["--tmin", "0"], id="tmin-0"),
     pytest.param(KERNEL + ["--tmin", "2", "--tmax", "2"], id="tmin-equals-tmax"),
     pytest.param(ENERGY_2X2 + ["--tau", "0"], id="tau-0"),
+    # non-finite numbers, scalar or list element
+    pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--T", "inf"], id="T-inf"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--eps-inf", "nan"], id="eps-inf-nan"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--delta-eps", "inf"], id="delta-eps-inf"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--alpha", "0.5,nan"], id="alpha-list-nan"),
+    pytest.param(["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "inf"], id="weights-tau-inf"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "inf"], id="tau-ref-inf"),
+    pytest.param(["cm-check", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.01", "--J", "20",
+                  "--tolerance", "nan"], id="tolerance-nan"),
     # a value its option's parser rejects
     pytest.param(WEIGHTS + ["--J", "ten"], id="J-not-an-integer"),
 ])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hnmaxwell import monotonicity
 from hnmaxwell.monotonicity import (
     alternating_diff,
     default_grid,
@@ -117,3 +118,34 @@ def test_bdf1_full_grid_monotone():
     rows = sweep_grid("bdf1", grid, grid, 0.01, 1000, 3)
     worst = min(float(r.indices.min()) for _, _, r in rows)
     assert worst >= -1e-13
+
+
+def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
+    # a stand-in pool records its size and runs the cells in-process, so no
+    # process is started whatever --threads asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(monotonicity, "ProcessPoolExecutor", RecordingPool)
+    grid = [0.3, 0.5, 0.7]
+    serial = sweep_grid("cm2", grid, grid, 0.01, 20, 2, threads=1)
+    for cpus, cells, want in ((64, 2, 4), (3, 3, 3), (None, 3, None)):
+        sizes.clear()
+        monkeypatch.setattr(monotonicity.os, "cpu_count", lambda: cpus)
+        rows = sweep_grid("cm2", grid[:cells], grid[:cells], 0.01, 20, 2, threads=1000)
+        assert sizes == ([] if want is None else [want])
+        assert [r[2].indices.tolist() for r in rows] == [
+            r[2].indices.tolist() for r in serial if r[0] in grid[:cells] and r[1] in grid[:cells]
+        ]

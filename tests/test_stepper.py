@@ -57,11 +57,11 @@ def cm2_memory(alpha, beta, tau, n):
 
 
 def reduced_matrices(ops, params, tau, w0):
-    """The step matrix and the edge mass matrix on the free edge dofs, built
-    from the assembled sparse matrices."""
+    """The step matrix and the edge mass matrix on the free edge dofs, as
+    sparse matrices built from the assembled ones."""
     free = ops.mesh.free_edges
-    m_e = ops.m_e_full[free][:, free]
-    c = ops.c_full[:, free]
+    m_e = sp.csr_matrix(ops.m_e_full[free][:, free])
+    c = sp.csr_matrix(ops.c_full[:, free])
     curlcurl = c.T @ sp.diags(1.0 / ops.m_h_diag) @ c
     step_matrix = ((params.eps_inf + params.delta_eps * w0) / tau) * m_e + 0.25 * tau * curlcurl
     return step_matrix.tocsc(), m_e.tocsc()
@@ -97,7 +97,11 @@ class TestStepOperator:
 
 
 @pytest.mark.parametrize(
-    "field,value", [("eps_inf", 0.5), ("delta_eps", -1.0)], ids=["eps_inf-0.5", "delta_eps-neg"]
+    "field,value",
+    [("eps_inf", 0.5), ("delta_eps", -1.0), ("eps_inf", math.inf), ("eps_inf", math.nan),
+     ("delta_eps", math.inf), ("delta_eps", math.nan)],
+    ids=["eps_inf-0.5", "delta_eps-neg", "eps_inf-inf", "eps_inf-nan", "delta_eps-inf",
+         "delta_eps-nan"],
 )
 def test_params_refuse_nonphysical_medium(field, value):
     with pytest.raises(ValueError, match=field):
@@ -310,7 +314,7 @@ def sparse_reference_run(ops, params, memory, sources, e0, h0):
     w = memory.weights()
     tau, n_steps = memory.tau, memory.order
     step_matrix, m_e = reduced_matrices(ops, params, tau, w[0])
-    c = ops.c_full[:, free].tocsr()
+    c = sp.csr_matrix(ops.c_full[:, free])
     edge_load = lambda g, t: assemble_edge_load(mesh, g, t)[free]
     e, h = e0[free], h0.copy()
     me_hist = []
@@ -571,7 +575,7 @@ class TestSchemeConsistency:
         conv = sum(w[m - k] * (me @ eI[k]) for k in range(m + 1))
         r3 = ((me @ pI_m) - params.delta_eps * conv - b3)[free]
 
-        mass_lu = spla.splu(ops.m_e_full[free][:, free].tocsc())
+        mass_lu = spla.splu(sp.csc_matrix(ops.m_e_full[free][:, free]))
         dual_e = lambda r: math.sqrt(max(r @ mass_lu.solve(r), 0.0))
         dual_h = math.sqrt(r2 @ (r2 / ops.m_h_diag))
         return dual_e(r1), dual_h, dual_e(r3)
