@@ -313,8 +313,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     iterations = 0
     while iterations < 10 * n:
         k = len(passive)
-        grad = d[k:] @ r[k:]
-        grad[passive] = -np.inf
+        grad = d[k:] @ r[k:]  # exactly 0 for the passive columns: they are 0 below row k
         while True:  # entering column: largest gradient among those independent of the passive ones
             j = int(np.argmax(grad))
             if grad[j] <= 0.0:
@@ -334,19 +333,19 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         passive.append(j)
         while iterations < 10 * n:  # move towards the passive solution until it is positive
             iterations += 1
-            k = len(passive)
-            s = np.linalg.solve(r[:k, passive], d[:k])  # upper triangular: LU does not pivot
-            if (s > 0.0).all():
-                x[passive] = s
+            k, cols = len(passive), np.array(passive)
+            s = np.linalg.solve(r[:k, cols], d[:k])  # upper triangular: LU does not pivot
+            if s.min() > 0.0:
+                x[cols] = s
                 break
-            xp = x[passive]
+            xp = x[cols]
             step = xp - s
             ratio = np.divide(xp, step, out=np.zeros(k), where=step > 0.0)
             blocking = np.flatnonzero(s <= 0.0)
             first = blocking[np.argmin(ratio[blocking])]
             xp += ratio[first] * (s - xp)
             xp[first] = 0.0
-            x[passive] = xp
+            x[cols] = xp
             for i in np.flatnonzero(xp <= 0.0)[::-1]:
                 x[passive.pop(i)] = 0.0
                 for p, col in enumerate(passive[i:], start=i):  # clear the subdiagonal (p + 1, p)
