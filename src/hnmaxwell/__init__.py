@@ -14,7 +14,7 @@ from .fem import (
     interpolate_H,
     l2_error,
 )
-from .monotonicity import IndexReport, alternating_diff, index_k, indicator_rho, sweep_grid
+from .monotonicity import alternating_diff, index_k, indicator_rho, sweep_grid
 from .prabhakar import (
     PrabhakarParams,
     SeriesConvergenceError,

@@ -84,7 +84,7 @@ def check_cm_indices(threads: int | None = None) -> CheckResult:
     start = time.perf_counter()
     grid = default_grid(0.05)
     rows = sweep_grid("cm2", grid, grid, tau=0.01, j_max=1000, k_max=3, threads=threads)
-    worst = min(float(r.indices.min()) for _, _, r in rows)
+    worst = min(float(indices.min()) for _, _, indices in rows)
     ok = worst >= -1e-13
     detail = f"19x19 grid, worst index {worst:.3e} (tolerance -1e-13)"
     return _result("complete monotonicity of cm2 weights", start, ok, detail, budget=30.0)
@@ -96,9 +96,7 @@ def check_bdf2_violations(threads: int | None = None) -> CheckResult:
     start = time.perf_counter()
     grid = default_grid(0.05)
     rows = sweep_grid("bdf2", grid, grid, tau=0.01, j_max=1000, k_max=3, threads=threads)
-    counts = {
-        k: sum(1 for _, _, r in rows if r.indices[k] < -1e-8) for k in (1, 2, 3)
-    }
+    counts = {k: sum(1 for _, _, indices in rows if indices[k] < -1e-8) for k in (1, 2, 3)}
     ok = all(c > 0 for c in counts.values()) and counts[1] <= counts[2] <= counts[3]
     detail = f"failing cells per k: {counts[1]}, {counts[2]}, {counts[3]} of {len(rows)}"
     return _result("bdf2 monotonicity failure (expanding negative regions)", start, ok, detail)

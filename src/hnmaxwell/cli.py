@@ -108,6 +108,8 @@ class ExperimentConfig:
         for tau in self.taus:
             if not tau > 0:
                 raise ValueError(f"tau={tau:g} must be positive")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"--threads={self.threads} must be at least 1")
         for rule in spec.rules:
             rule(self)
 
@@ -210,8 +212,8 @@ def _run_cm_check(cfg: ExperimentConfig) -> Iterator[tuple]:
     )
     lines = [
         f"{_fmt_opt(alpha)},{_fmt_opt(beta)},{k},{_fmt(idx)},{indicator_rho(idx + cfg.tolerance)}"
-        for alpha, beta, report in results
-        for k, idx in enumerate(report.indices.tolist())
+        for alpha, beta, indices in results
+        for k, idx in enumerate(indices.tolist())
     ]
     yield "cm_check.csv", "alpha,beta,k,index,rho_index", lines
 

@@ -11,15 +11,19 @@ with S the backshift operator.  On a finite window the certificate is
 
 nonnegative (up to roundoff) for every k up to the inspected order.  The
 sweep driver evaluates the certificate over an (alpha, beta) grid for a
-chosen quadrature scheme, in parallel.
+chosen quadrature scheme, in parallel when asked to.
+
+(I - S)^k w is formed by differencing k times, d <- d[:-1] - d[1:], one
+pass per order.  A subtraction x - y is exact in floating point when
+y/2 <= x <= 2y (Sterbenz), and the differences of a CM sequence are CM
+again, so log-convex: their ratio d_{j+1}/d_j grows with j.  Every entry but
+the first few is therefore differenced without rounding, and those first
+ones are large and subtract without cancellation.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +31,6 @@ import numpy as np
 from .quadrature import generate_weights
 
 __all__ = [
-    "IndexReport",
     "alternating_diff",
     "index_k",
     "indicator_rho",
@@ -36,18 +39,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    """Minimum alternating differences of one weight sequence.
-
-    indices[k] = index_k over the window j in [0, J-k]; argmin_j[k] records
-    where the minimum is attained.
-    """
-
-    k_max: int
-    j_max: int
-    indices: np.ndarray
-    argmin_j: np.ndarray
+def _differences(w: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """[(I-S)^k w for k = 0..k_max], each over every admissible offset j."""
+    diffs = [w]
+    for _ in range(k_max):
+        diffs.append(diffs[-1][:-1] - diffs[-1][1:])
+    return diffs
 
 
 def alternating_diff(w: np.ndarray, k: int, j: int) -> float:
@@ -55,25 +52,7 @@ def alternating_diff(w: np.ndarray, k: int, j: int) -> float:
     w = np.asarray(w, dtype=float)
     if k < 0 or j < 0 or j + k >= w.size:
         raise IndexError(f"difference (k={k}, j={j}) out of range for {w.size} weights")
-    return float(_diff_all(w[j : j + k + 1], k)[0])
-
-
-def _diff_all(w: np.ndarray, k: int) -> np.ndarray:
-    """Vector of (I-S)^k w_j for every admissible j, computed columnwise.
-
-    The binomial-weighted sum is accumulated with Kahan compensation: third
-    differences of small weights sit near the double-precision noise floor.
-    """
-    coeffs = np.array([(-1.0) ** n * math.comb(k, n) for n in range(k + 1)])
-    m = w.size - k
-    total = np.zeros(m)
-    comp = np.zeros(m)
-    for n in range(k + 1):
-        y = coeffs[n] * w[n : n + m] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    return float(_differences(w[j : j + k + 1], k)[k][0])
 
 
 def index_k(w: np.ndarray, k: int, j_max: int) -> float:
@@ -83,7 +62,7 @@ def index_k(w: np.ndarray, k: int, j_max: int) -> float:
         raise ValueError(f"window J={j_max} needs at least J+1 weights, got {w.size}")
     if k > j_max:
         raise ValueError(f"difference order k={k} exceeds window J={j_max}")
-    return float(_diff_all(w[: j_max + 1], k).min())
+    return float(_differences(w[: j_max + 1], k)[k].min())
 
 
 def indicator_rho(x: float) -> int:
@@ -97,16 +76,10 @@ def default_grid(step: float = 0.05) -> np.ndarray:
     return np.round(np.arange(1, n + 1) * step, 12)
 
 
-def _sweep_point(args) -> tuple[float, float, IndexReport]:
+def _sweep_point(args) -> tuple[float, float, np.ndarray]:
     scheme, alpha, beta, tau, j_max, k_max = args
     w = generate_weights(scheme, alpha, beta, tau, j_max).weights
-    indices = np.empty(k_max + 1)
-    argmins = np.empty(k_max + 1, dtype=int)
-    for k in range(k_max + 1):
-        diffs = _diff_all(w[: j_max + 1], k)
-        argmins[k] = int(np.argmin(diffs))
-        indices[k] = diffs[argmins[k]]
-    return alpha, beta, IndexReport(k_max=k_max, j_max=j_max, indices=indices, argmin_j=argmins)
+    return alpha, beta, np.array([d.min() for d in _differences(w[: j_max + 1], k_max)])
 
 
 def sweep_grid(
@@ -117,20 +90,26 @@ def sweep_grid(
     j_max: int,
     k_max: int,
     threads: int | None = None,
-) -> list[tuple[float, float, IndexReport]]:
-    """Evaluate index_k for k <= k_max over the (alpha, beta) grid.
+) -> list[tuple[float, float, np.ndarray]]:
+    """index_k for k = 0..k_max at every (alpha, beta) of the grid, as
+    (alpha, beta, indices) rows.
 
-    Results are returned row-major over the grid (alpha outer, beta inner)
-    regardless of worker scheduling.  The pool never holds more processes than
-    there are cells or CPUs, whatever ``threads`` asks for.
+    Rows come row-major over the grid (alpha outer, beta inner) regardless of
+    worker scheduling.  The pool never holds more processes than there are
+    cells or CPUs, whatever ``threads`` asks for; ``threads`` below 1 is refused.
     """
     if len(alpha_grid) == 0 or len(beta_grid) == 0:
         raise ValueError("alpha and beta grids must be nonempty")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads={threads} must be at least 1")
     jobs = [(scheme, float(a), float(b), tau, j_max, k_max) for a in alpha_grid for b in beta_grid]
     cpus = os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, len(jobs), cpus)
     if workers <= 1 or len(jobs) < 4:
         return [_sweep_point(job) for job in jobs]
+    # imported here: the process pool costs every other run about 30 ms of imports
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(jobs) // (4 * workers))
         return list(pool.map(_sweep_point, jobs, chunksize=chunk))

@@ -23,9 +23,11 @@ binomial series, as in cm2.  All three schemes therefore share one form,
       w(z) = [1 + s * (1-z)^alpha * (1 - d*z)^e]^(-beta),
 
 with (s, d, e) = (tau^-alpha c^(1-alpha), d, 1-alpha) for cm2,
-(tau^-alpha, 0, 0) for bdf1 and ((3/(2 tau))^alpha, 1/3, alpha) for bdf2,
-and one call of the Miller recurrence (``series_pow``) per table; an
-independent FFT/Cauchy-integral oracle lives in the tests.
+(tau^-alpha, 0, 0) for bdf1 and ((3/(2 tau))^alpha, 1/3, alpha) for bdf2
+(``_symbol``).  ``generate_weights`` is the one builder: it validates the
+orders and the step, and makes one call of the Miller recurrence
+(``series_pow``) per table; ``cm2_weights`` and ``bdf_cq_weights`` route into
+it.  An independent FFT/Cauchy-integral oracle lives in the tests.
 
 ``fit_exp_sum`` compresses a table into a positive exponential sum
 w_hat_j = sum_l c_l r_l^j (c_l > 0, 0 < r_l < 1).  Such a sum is a Hausdorff
@@ -167,48 +169,39 @@ def cm2_weights(alpha: float, beta: float, tau: float, n: int) -> CQWeights:
     case to ``bdf_cq_weights`` order 1).  beta = 1 is accepted for the
     Cole-Cole special case; 0 < beta < 1 is the generic range.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    consts = CM2Constants.from_alpha(alpha)
-    scale = tau ** (-alpha) * consts.c ** (1.0 - alpha)
-    w = _symbol_weights(alpha, beta, n, scale, consts.d, 1.0 - alpha)
-    return CQWeights(scheme="cm2", alpha=alpha, beta=beta, tau=tau, weights=w)
+    return generate_weights("cm2", alpha, beta, tau, n)
 
 
 def bdf_cq_weights(order: int, alpha: float, beta: float, tau: float, n: int) -> CQWeights:
     """Classical CQ weights from the BDF-1 or BDF-2 generating polynomial."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
-        raise ValueError(f"fractional orders must lie in (0, 1], got alpha={alpha}, beta={beta}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if order == 1:  # delta_1 = 1 - z
-        w = _symbol_weights(alpha, beta, n, tau ** (-alpha), 0.0, 0.0)
-    else:  # delta_2 = (1-z) + (1-z)^2/2 = (3/2)(1-z)(1-z/3)
-        w = _symbol_weights(alpha, beta, n, (1.5 / tau) ** alpha, 1.0 / 3.0, alpha)
-    scheme = "bdf1" if order == 1 else "bdf2"
-    return CQWeights(scheme=scheme, alpha=alpha, beta=beta, tau=tau, weights=w)
+    return generate_weights(f"bdf{order}", alpha, beta, tau, n)
 
 
-def _symbol_weights(alpha: float, beta: float, n: int, scale: float, d: float, e: float) -> np.ndarray:
-    """Taylor coefficients 0..n of (1 + scale * (1-z)^alpha * (1-d*z)^e)^(-beta)."""
-    b = scale * series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
-    b[0] += 1.0
-    return series_pow(b, -beta)
+def _symbol(scheme: str, alpha: float, tau: float) -> tuple[float, float, float]:
+    """(s, d, e) of the scheme's symbol s * (1-z)^alpha * (1-d*z)^e."""
+    if scheme == "cm2":
+        k = CM2Constants.from_alpha(alpha)
+        return tau ** (-alpha) * k.c ** (1.0 - alpha), k.d, 1.0 - alpha
+    if scheme == "bdf1":  # delta_1 = 1 - z
+        return tau ** (-alpha), 0.0, 0.0
+    if scheme == "bdf2":  # delta_2 = (1-z) + (1-z)^2/2 = (3/2)(1-z)(1-z/3)
+        return (1.5 / tau) ** alpha, 1.0 / 3.0, alpha
+    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 
 def generate_weights(scheme: str, alpha: float, beta: float, tau: float, n: int) -> CQWeights:
-    """Dispatch on the scheme name ("cm2", "bdf1", "bdf2")."""
-    if scheme == "cm2":
-        return cm2_weights(alpha, beta, tau, n)
-    if scheme == "bdf1":
-        return bdf_cq_weights(1, alpha, beta, tau, n)
-    if scheme == "bdf2":
-        return bdf_cq_weights(2, alpha, beta, tau, n)
-    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    """Weights w[0..n] of the scheme "cm2", "bdf1" or "bdf2": the Taylor
+    coefficients of [1 + s * (1-z)^alpha * (1-d*z)^e]^(-beta)."""
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
+        raise ValueError(f"fractional orders must lie in (0, 1], got alpha={alpha}, beta={beta}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    s, d, e = _symbol(scheme, alpha, tau)
+    b = s * series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
+    b[0] += 1.0
+    return CQWeights(scheme=scheme, alpha=alpha, beta=beta, tau=tau, weights=series_pow(b, -beta))
 
 
 def delta_consistency_residual(alpha: float, tau: float) -> float:

@@ -125,6 +125,10 @@ def test_stepper_run_leaves_scipy_optimize_unimported(tmp_path):
     code += "".join(f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0\n" for argv in runs)
     code += "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
     code += "assert not scipy, scipy\n"
+    # nor the process pool, which only a parallel cm-check uses (about 30 ms of imports)
+    code += "pool = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+    code += "        or m == 'concurrent.futures' or m.startswith('concurrent.futures.')]\n"
+    code += "assert not pool, pool\n"
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
 
@@ -175,10 +179,18 @@ def test_config_file_and_flag_override(tmp_path):
     assert np.array_equal(got, cm2_weights(0.5, 0.5, 0.04, 30).weights)
 
 
-def test_unknown_config_key(tmp_path):
+def test_unknown_config_key(tmp_path, capsys):
+    # also a value outside its option's choices, which argparse never sees in
+    # a config file, and a line that is not key=value
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("frobnicate = 7\n")
-    assert main(["weights", "--config", str(cfg)]) == 2
+    for text, reason in (("frobnicate = 7", "unknown option 'frobnicate'"),
+                         ("scheme = bdf3", "scheme: unknown value 'bdf3'"),
+                         ("alpha 0.5", "expected key=value")):
+        cfg.write_text(f"alpha = 0.5\nbeta = 0.5\ntau = 0.1\n{text}\n")
+        assert main(["weights", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hnmx: ") and reason in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_required_option():
@@ -258,6 +270,11 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
                   "--tolerance", "nan"], id="tolerance-nan"),
     # a value its option's parser rejects
     pytest.param(WEIGHTS + ["--J", "ten"], id="J-not-an-integer"),
+    # a list where one value is needed, and no worker
+    pytest.param(["weights", "--alpha", "0.1,0.2", "--beta", "0.5", "--tau", "0.1"],
+                 id="weights-alpha-list"),
+    pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--threads", "0"], id="threads-0"),
+    pytest.param(["cm-check", "--tau", "0.01", "--threads", "-3"], id="threads-negative"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

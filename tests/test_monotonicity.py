@@ -1,5 +1,7 @@
 """Alternating-difference checks and the (alpha, beta) sweep machinery."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -91,10 +93,10 @@ def test_default_grid():
 def test_sweep_single_point_matches_direct():
     rows = sweep_grid("cm2", [0.5], [0.5], 0.01, 200, 3, threads=1)
     assert len(rows) == 1
-    alpha, beta, report = rows[0]
+    alpha, beta, indices = rows[0]
     w = cm2_weights(0.5, 0.5, 0.01, 200).weights
     for k in range(4):
-        assert report.indices[k] == pytest.approx(index_k(w, k, 200), abs=1e-16)
+        assert indices[k] == pytest.approx(index_k(w, k, 200), abs=1e-16)
 
 
 def test_sweep_parallel_matches_serial():
@@ -103,8 +105,7 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep_grid("bdf2", grid, grid, 0.01, 300, 3, threads=2)
     assert [(a, b) for a, b, _ in serial] == [(a, b) for a, b, _ in parallel]
     for (_, _, rs), (_, _, rp) in zip(serial, parallel):
-        assert np.array_equal(rs.indices, rp.indices)
-        assert np.array_equal(rs.argmin_j, rp.argmin_j)
+        assert np.array_equal(rs, rp)
 
 
 def test_empty_grid_rejected():
@@ -112,11 +113,17 @@ def test_empty_grid_rejected():
         sweep_grid("cm2", [], [0.5], 0.01, 100, 3)
 
 
+def test_threads_below_one_rejected():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            sweep_grid("cm2", [0.5], [0.5], 0.01, 100, 3, threads=threads)
+
+
 def test_bdf1_full_grid_monotone():
     # Euler CQ keeps complete monotonicity on the whole parameter grid
     grid = default_grid(0.05)
     rows = sweep_grid("bdf1", grid, grid, 0.01, 1000, 3)
-    worst = min(float(r.indices.min()) for _, _, r in rows)
+    worst = min(float(indices.min()) for _, _, indices in rows)
     assert worst >= -1e-13
 
 
@@ -138,7 +145,7 @@ def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(monotonicity, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     grid = [0.3, 0.5, 0.7]
     serial = sweep_grid("cm2", grid, grid, 0.01, 20, 2, threads=1)
     for cpus, cells, want in ((64, 2, 4), (3, 3, 3), (None, 3, None)):
@@ -146,6 +153,6 @@ def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
         monkeypatch.setattr(monotonicity.os, "cpu_count", lambda: cpus)
         rows = sweep_grid("cm2", grid[:cells], grid[:cells], 0.01, 20, 2, threads=1000)
         assert sizes == ([] if want is None else [want])
-        assert [r[2].indices.tolist() for r in rows] == [
-            r[2].indices.tolist() for r in serial if r[0] in grid[:cells] and r[1] in grid[:cells]
+        assert [r[2].tolist() for r in rows] == [
+            r[2].tolist() for r in serial if r[0] in grid[:cells] and r[1] in grid[:cells]
         ]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hnmaxwell.prabhakar import prabhakar_integral_monomial
 from hnmaxwell.quadrature import (
     FIT_TOL,
+    SCHEMES,
     CM2Constants,
     NotCompletelyMonotoneError,
     _nnls,
@@ -212,10 +213,14 @@ class TestBdfWeights:
 
 class TestSchemeDispatch:
     def test_routes(self):
-        assert generate_weights("cm2", 0.5, 0.5, 0.1, 3).scheme == "cm2"
-        assert generate_weights("bdf1", 0.5, 0.5, 0.1, 3).scheme == "bdf1"
-        assert generate_weights("bdf2", 0.5, 0.5, 0.1, 3).scheme == "bdf2"
-        with pytest.raises(ValueError):
+        for scheme in SCHEMES:
+            assert generate_weights(scheme, 0.5, 0.5, 0.1, 3).scheme == scheme
+            # orders outside (0, 1] and a step that is not positive are refused by every scheme
+            for alpha, beta, tau in [(0.0, 0.5, 0.1), (1.1, 0.5, 0.1), (0.5, 0.0, 0.1),
+                                     (0.5, 1.1, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, -1.0)]:
+                with pytest.raises(ValueError):
+                    generate_weights(scheme, alpha, beta, tau, 3)
+        with pytest.raises(ValueError, match="unknown scheme"):
             generate_weights("rk", 0.5, 0.5, 0.1, 3)
 
 
@@ -292,6 +297,7 @@ class TestExpSumFit:
     @example(alpha=0.9, beta=1.0, tau=0.5, n=1024)
     @example(alpha=0.999, beta=1.0, tau=1e-3, n=1024)
     @example(alpha=0.999, beta=0.05, tau=0.5, n=1024)
+    @example(alpha=0.5, beta=0.5, tau=10.0, n=1024)  # the root search widens its bracket
     def test_cm2(self, alpha, beta, tau, n):
         self._check(cm2_weights(alpha, beta, tau, n))
 

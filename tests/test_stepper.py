@@ -229,6 +229,15 @@ class TestEnergy:
             totals.append(energy(step(state)))
         assert (np.diff(totals) <= 1e-10 * totals[0]).all()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="on the standing data too the functional rises at large tau: 8x8 mesh, "
+        "tau = 2, +1.4% of E^0 at step 4",
+    )
+    def test_decay_standing_data_large_tau(self):
+        tr = run_energy(build_mesh(8, 8), default_params(), tau=2.0, t_final=16.0)
+        assert (np.diff(tr.total) <= 1e-10 * tr.total[0]).all()
+
     def test_crank_nicolson_conservation(self):
         # delta_eps = 0 removes dispersion; midpoint scheme conserves energy
         mesh = build_mesh(8, 8)
@@ -608,6 +617,8 @@ class TestConvergence:
         mesh = build_mesh(4, 4)
         with pytest.raises(ValueError):
             run_convergence(mesh, default_params(), (1 / 10, 1 / 30))
+        with pytest.raises(ValueError, match="at least one step size"):
+            run_convergence(mesh, default_params(), [])
         with pytest.raises(ValueError):
             run_convergence(mesh, default_params(), (1 / 10, 1 / 20), mode="bogus")
         with pytest.raises(ValueError):
