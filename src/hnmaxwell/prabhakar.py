@@ -24,6 +24,7 @@ rounding in the terms alone exceeds ``CANCELLATION_TOL`` relative to the sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ MAX_TERMS = 800
 # 1.3e-8 at the edge of the default kernel range (alpha = 1, t = 10)
 EPS = 2.2e-16
 CANCELLATION_TOL = 1e-7
+# term ratios are computed and cached per parameter set in blocks of this many
+_RATIO_BLOCK = 64
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -80,8 +83,10 @@ def ml3(params: PrabhakarParams, z: float) -> float:
         term_{k+1} / term_k = (k + gamma) / (k + 1) * exp(lgamma(rho k + mu) - lgamma(rho k + rho + mu)) * z
 
     and summed with Kahan compensation until |term| < 1e-16 * (1 + |sum|),
-    capped at ``MAX_TERMS``.  Raises :class:`SeriesConvergenceError` when the
-    cap is reached or when EPS * max|term| > CANCELLATION_TOL * |sum|.
+    capped at ``MAX_TERMS``.  The ratios without the factor z depend on the
+    parameters alone and are computed once per parameter set
+    (``_term_ratios``).  Raises :class:`SeriesConvergenceError` when the cap
+    is reached or when EPS * max|term| > CANCELLATION_TOL * |sum|.
     """
     params.validate()
     rho, mu, gamma = params.rho, params.mu, params.gamma
@@ -90,6 +95,7 @@ def ml3(params: PrabhakarParams, z: float) -> float:
     total = term
     largest = abs(term)
     comp = 0.0
+    ratios = ()
     for k in range(MAX_TERMS):
         if abs(term) < REL_TOL * (1.0 + abs(total)):
             if EPS * largest > CANCELLATION_TOL * abs(total):
@@ -99,12 +105,9 @@ def ml3(params: PrabhakarParams, z: float) -> float:
                     last_term=abs(term),
                 )
             return total
-        ratio = (
-            (k + gamma)
-            / (k + 1.0)
-            * math.exp(math.lgamma(rho * k + mu) - math.lgamma(rho * (k + 1) + mu))
-        )
-        term = term * ratio * z
+        if k % _RATIO_BLOCK == 0:
+            ratios = _term_ratios(rho, mu, gamma, k // _RATIO_BLOCK)
+        term = term * ratios[k % _RATIO_BLOCK] * z
         largest = max(largest, abs(term))
         y = term - comp
         t = total + y
@@ -114,6 +117,19 @@ def ml3(params: PrabhakarParams, z: float) -> float:
         f"Prabhakar series did not converge within {MAX_TERMS} terms "
         f"(rho={rho}, mu={mu}, gamma={gamma}, z={z}); last term {term:.3e}",
         last_term=abs(term),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _term_ratios(rho: float, mu: float, gamma: float, block: int) -> tuple[float, ...]:
+    """term_{k+1} / (term_k z) of the ml3 series for the ``_RATIO_BLOCK`` terms
+    k of block ``block``."""
+    start = block * _RATIO_BLOCK
+    return tuple(
+        (k + gamma)
+        / (k + 1.0)
+        * math.exp(math.lgamma(rho * k + mu) - math.lgamma(rho * (k + 1) + mu))
+        for k in range(start, start + _RATIO_BLOCK)
     )
 
 

@@ -31,9 +31,13 @@ it.  An independent FFT/Cauchy-integral oracle lives in the tests.
 
 ``fit_exp_sum`` compresses a table into a positive exponential sum
 w_hat_j = sum_l c_l r_l^j (c_l > 0, 0 < r_l < 1).  Such a sum is a Hausdorff
-moment sequence, hence completely monotone by construction; the fit refuses
-(:class:`NotCompletelyMonotoneError`) when it misses the table by more than
-``FIT_TOL`` relative, which is what happens to tables that are not CM.
+moment sequence, hence completely monotone by construction, whatever its
+miss; the fit therefore stops at the first positive sum that misses the
+table by at most ``FIT_TARGET`` relative (L grows like log(1/FIT_TARGET),
+Beylkin & Monzon, ACHA 19 (2005) 17-48), and otherwise returns the best one.
+It refuses (:class:`NotCompletelyMonotoneError`) when that misses the table
+by more than ``FIT_TOL`` relative, which is what happens to tables that are
+not CM.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "ExpSum",
     "NotCompletelyMonotoneError",
     "FIT_TOL",
+    "FIT_TARGET",
     "fit_exp_sum",
     "CM2Constants",
     "cm2_weights",
@@ -63,6 +68,10 @@ SCHEMES = ("cm2", "bdf1", "bdf2")
 
 # Largest relative miss max_j |w_hat_j / w_j - 1| a fitted exponential sum may have.
 FIT_TOL = 1e-8
+# Relative miss at which the fit stops adding exponentials.  Any positive sum
+# is CM, so the target sets only how closely the memory follows the table and
+# how many accumulators (L) the stepper carries.
+FIT_TARGET = 1e-10
 # Candidate rates of the fit: _LOG_RATES rates e^{-s}, s log-spaced on
 # [1e-2/N, 400], plus _CLUSTER_OFFSETS relative offsets on each side of every
 # singular rate (see _candidate_rates).
@@ -103,7 +112,11 @@ class NotCompletelyMonotoneError(ValueError):
 class ExpSum:
     """Positive exponential sum w_hat_j = sum_l coeffs[l] * rates[l]**j that
     matches a weight table of step ``tau`` for j <= ``order`` to the relative
-    ``miss``; every coefficient is positive and every rate lies in (0, 1)."""
+    ``miss``; every coefficient is positive and every rate lies in (0, 1).
+
+    :func:`fit_exp_sum` stops at ``FIT_TARGET``, so ``miss`` is mostly of
+    that size rather than at rounding level; the sum is completely monotone
+    whatever the miss."""
 
     tau: float
     order: int
@@ -122,8 +135,9 @@ class ExpSum:
 
 def fit_exp_sum(w: CQWeights) -> ExpSum:
     """Nonnegative least-squares fit of the relative misfit w_hat_j / w_j - 1
-    over fixed candidate rates; raises NotCompletelyMonotoneError when the
-    largest relative miss over j <= N exceeds ``FIT_TOL``."""
+    over fixed candidate rates, stopped at the first positive sum whose
+    largest relative miss over j <= N is at most ``FIT_TARGET``; raises
+    NotCompletelyMonotoneError when the miss exceeds ``FIT_TOL``."""
     table = w.weights
     label = f"{w.scheme} weights (alpha={w.alpha:g}, beta={w.beta:g}, tau={w.tau:g}, N={w.order})"
     if not (table > 0.0).all():
@@ -132,7 +146,7 @@ def fit_exp_sum(w: CQWeights) -> ExpSum:
             f"{label} are not completely monotone: w_{j} = {table[j]:.3e} is not positive"
         )
     rates = _candidate_rates(w.scheme, w.alpha, w.tau, w.order)
-    x = _nnls(_powers(rates, w.order) / table[:, None], np.ones(table.size))
+    x = _nnls(_powers(rates, w.order) / table[:, None], np.ones(table.size), FIT_TARGET)
     keep = x > 0.0
     coeffs, rates = x[keep], rates[keep]
     miss = float(np.max(np.abs(_powers(rates, w.order) @ coeffs / table - 1.0)))
@@ -281,8 +295,10 @@ def _bisect(modulus, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method.
+def _nnls(a: np.ndarray, b: np.ndarray, target: float | None = None) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method,
+    or with a ``target`` the first positive passive solution x whose residual
+    max |a x - b| is at most ``target``.
 
     The columns are scaled to unit norm and the problem is reduced to the
     triangular factor [r | d] of [a | b].  The passive columns keep a full QR
@@ -330,6 +346,10 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             s = np.linalg.solve(r[:k, cols], d[:k])  # upper triangular: LU does not pivot
             if s.min() > 0.0:
                 x[cols] = s
+                if target is not None:
+                    residual = a[:, cols] @ (s / scale[cols]) - b
+                    if np.max(np.abs(residual)) <= target:
+                        return x / scale
                 break
             xp = x[cols]
             step = xp - s

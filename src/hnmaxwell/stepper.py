@@ -26,9 +26,12 @@ A^b ("far").  With j = n - b,
 
 so a step reads j + 1 field rows instead of L.  When the block is full,
 A^{b+K} = r^K A^b + sum_i r^{K-i} e^{b+i} and the next far are one matrix
-product each.  In exact arithmetic this is the per-level update
-A_l <- r_l A_l + e^n.  Power-table entries below ``POWER_FLOOR`` are set to
-zero, so no product in the update falls into the subnormal range.
+product each.  The fold buffer is ``far`` itself, which the closing block no
+longer reads: the near part of A is formed K accumulator rows at a time in
+it, so the fold allocates nothing.  In exact arithmetic this is the
+per-level update A_l <- r_l A_l + e^n.  Power-table entries below
+``POWER_FLOOR`` are set to zero, so no product in the update falls into the
+subnormal range.
 Eliminating H and P from the step leaves one linear system per step,
 
     A e^m = rhs,   A = ((eps_inf + delta_eps*w0)/tau) M_E + (tau/4) C^T M_H^{-1} C,
@@ -64,8 +67,8 @@ Each source g1 (Ampere), g2 (Faraday) and g3 is separable, sum_i f_i(t) s_i(x, y
 :meth:`SourceSet.assemble` turns every s_i into a load vector L_i once, and a
 step forms G(t_m) = sum_i f_i(t_m) L_i once, all in modal form.  g1 and g2
 enter as endpoint averages (G(t_m) + G(t_{m-1}))/2, so the state keeps them
-for the next step; g3 enters the step as G(t_m) and P^m through
-M_E^{-1} G(t_m), and its value at t_{m-1} is inside P^{m-1}.
+for the next step; g3 enters the step and P^m as M_E^{-1} G(t_m), formed once
+per level, and its value at t_{m-1} is inside P^{m-1}.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ TimeFactor = Callable[[float], float]
 
 # Levels per block of the memory update (K above).  A step reads up to K field
 # rows and a full block costs two L x K x dofs products; K = 8..32 time alike
-# on 32x32 and 64x64 meshes at L = 44-53, K = 4 is slower.
+# on 32x32 and 64x64 meshes at L = 44-53 and at L = 30-35, K = 4 is slower.
 BLOCK = 16
 # Power-table entries r_l^k below this are exact zeros; that changes a weight
 # by less than POWER_FLOOR * c_l and keeps the update out of subnormal numbers.
@@ -171,7 +174,8 @@ class AssembledSource:
     loads: np.ndarray
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.tensordot([f(t) for f in self.factors], self.loads, axes=1)
+        load = np.array([f(t) for f in self.factors]) @ _rows(self.loads)
+        return load.reshape(self.loads.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,9 @@ class StepOperator:
 
     Per H mode the step matrix is diag(d) + s c c^T on its (E_x, E_y) modes,
     with d = ((eps_inf + delta_eps*w0)/tau) * mass, c the curl factors and
-    s = tau / (4 area); Sherman-Morrison inverts it in closed form.
+    s = tau / (4 area); Sherman-Morrison inverts it in closed form.  The
+    operator also holds the constants :func:`step` scales by: M_E / tau, s,
+    and the curl factors times s and 2 s.
     """
 
     def __init__(self, mesh: MaxwellMesh, params: HNParams, tau: float, w0: float):
@@ -234,10 +240,21 @@ class StepOperator:
         self._u = modes.curl / diag
         s = 0.25 * tau / modes.area
         self._gain = s / (1.0 + s * (modes.curl * self._u).sum(axis=0))
+        self._mass_over_tau = modes.mass / tau
+        self._quarter = s
+        self._curl_quarter = s * modes.curl
+        self._curl_half = (2.0 * s) * modes.curl
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the step system for a modal E right-hand side."""
-        return rhs * self._inv_diag - self._u * (self._gain * (self._u * rhs).sum(axis=0))
+        """Solve the step system for a modal E right-hand side, in place (the
+        solution overwrites ``rhs`` and is returned)."""
+        u = self._u
+        coupling = u[0] * rhs[0]
+        coupling += u[1] * rhs[1]
+        coupling *= self._gain
+        rhs *= self._inv_diag
+        rhs -= u * coupling
+        return rhs
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse of the edge mass matrix to modal E (or a stack of them)."""
@@ -294,7 +311,8 @@ class StepperState:
     - row i of ``near`` holds e^{b+1+i} for the j = n - b levels of the open
       block (i < j; later rows are stale);
     - row k of ``far`` holds sum_l c_l r_l^{k+1} A_l^b, the part of the
-      history sum S of step b+k+1 that comes from A^b.
+      history sum S of step b+k+1 that comes from A^b; while a full block
+      is folded it is the product buffer of the fold.
 
     Entry l of ``acc_norm_sq`` holds B_l = sum_{k<=n} r_l^{n-k} ||E^k||^2,
     updated at every level, and ``e_norm_sq`` is ||E^n||^2.  Every update
@@ -380,7 +398,7 @@ def init_state(
         g1=g1,
         g2=g2,
     )
-    _close_level(state, 0.0, g3)
+    _close_level(state, 0.0, None if g3 is None else state.operator.solve_mass(g3))
     return state
 
 
@@ -389,64 +407,79 @@ def step(state: StepperState) -> StepperState:
     m = state.n + 1
     if m > state.capacity:
         raise ValueError(f"state capacity {state.capacity} exhausted at step {m}")
-    tau, params = state.tau, state.params
-    modes = state.mesh.modes
+    params, op = state.params, state.operator
     e_prev, h_prev = state.e, state.h
-    g1, g2, g3 = state.sources.at(m * tau)
+    g1, g2, g3 = state.sources.at(m * state.tau)
+    source_p = None if g3 is None else op.solve_mass(g3)  # M_E^{-1} g3(t_m), the source part of P^m
 
     # delta_eps times the history sum S = sum_{k<m} w_{m-k} e^k = sum_l c_l r_l A_l^{m-1}
     j = m - 1 - state.block_start
-    recent = state.tables.near_weights[BLOCK - j :] @ _rows(state.near)[:j]
-    history = state.far[j] + recent.reshape(e_prev.shape)
+    history = state.tables.near_weights[BLOCK - j :] @ _rows(state.near)[:j]
+    history = history.reshape(e_prev.shape)
+    history += state.far[j]
     history *= params.delta_eps
-    # (M_E (eps_inf e^{m-1} + P^{m-1} - delta_eps S) - g3(t_m)) / tau
-    rhs = state.p - history
-    rhs += params.eps_inf * e_prev
-    rhs *= modes.mass
-    if g3 is not None:
-        rhs -= g3
-    rhs /= tau
-    # C^T (h - (tau/4) M_H^{-1} C e), plus the g2 term inside the bracket
-    h_part = h_prev - (0.25 * tau / modes.area) * (modes.curl * e_prev).sum(axis=0)
-
-    b2 = None
+    # M_E (eps_inf e^{m-1} + P^{m-1} - delta_eps S - M_E^{-1} g3(t_m)) / tau
+    rhs = params.eps_inf * e_prev
+    rhs += state.p
+    rhs -= history
+    if source_p is not None:
+        rhs -= source_p
+    rhs *= op._mass_over_tau
+    # C^T (h - (tau/4) M_H^{-1} C e), plus (tau/2) M_H^{-1} times the g2 average inside the bracket
+    h_part = op._curl_quarter[0] * e_prev[0]
+    h_part += op._curl_quarter[1] * e_prev[1]
+    np.subtract(h_prev, h_part, out=h_part)
     if g2 is not None:
-        b2 = 0.5 * (g2 + state.g2)
-        h_part += (0.5 * tau / modes.area) * b2
-    rhs += modes.curl * h_part
+        g2_sum = g2 + state.g2
+        g2_sum *= op._quarter
+        h_part += g2_sum
+    rhs += state.mesh.modes.curl * h_part
     if g1 is not None:
-        rhs += 0.5 * (g1 + state.g1)
+        g1_sum = g1 + state.g1
+        g1_sum *= 0.5
+        rhs += g1_sum
 
-    state.e = state.operator.solve(rhs)
-    state.h = h_prev - (0.5 * tau / modes.area) * (modes.curl * (state.e + e_prev)).sum(axis=0)
-    if b2 is not None:
-        state.h += (tau / modes.area) * b2
-    state.n = m
+    # H^m = h - (tau/2) M_H^{-1} C (e^m + e^{m-1}), plus (tau) M_H^{-1} times the g2 average
+    e = op.solve(rhs)
+    e_sum = e + e_prev
+    h = op._curl_half[0] * e_sum[0]
+    h += op._curl_half[1] * e_sum[1]
+    np.subtract(h_prev, h, out=h)
+    if g2 is not None:
+        h += g2_sum
+        h += g2_sum
+    state.e, state.h, state.n = e, h, m
     state.g1, state.g2 = g1, g2
-    _close_level(state, history, g3)
+    _close_level(state, history, source_p)
     return state
 
 
 def _close_level(
-    state: StepperState, history: np.ndarray | float, g3: np.ndarray | None
+    state: StepperState, history: np.ndarray | float, source_p: np.ndarray | None
 ) -> None:
     """Set P^n = delta_eps (w0 e^n + S) + M_E^{-1} g3(t_n) from ``history`` =
-    delta_eps S of level n, and add e^n and ||E^n||^2 to the memory; a full
-    block is folded into A and the next far part."""
+    delta_eps S of level n and ``source_p`` = M_E^{-1} g3(t_n), and add e^n
+    and ||E^n||^2 to the memory; a full block is folded into A and the next
+    far part, with ``far`` as the product buffer of the fold."""
     p = (state.params.delta_eps * state.memory.w0) * state.e
     p += history
-    if g3 is not None:
-        p += state.operator.solve_mass(g3)
+    if source_p is not None:
+        p += source_p
     state.p = p
     state.e_norm_sq = state.mesh.modes.edge_norm_sq(state.e)
     state.acc_norm_sq = state.memory.rates * state.acc_norm_sq + state.e_norm_sq
     row = state.n % BLOCK
     state.near[row] = state.e
     if row == BLOCK - 1:
-        t, acc = state.tables, _rows(state.acc_e)
+        t, acc, near, far = state.tables, _rows(state.acc_e), _rows(state.near), _rows(state.far)
         acc *= t.fold_old[:, None]
-        acc += t.fold_new @ _rows(state.near)
-        np.matmul(t.far_weights, acc, out=_rows(state.far))
+        # far is read no more in this block: it takes the near part of BLOCK rows of A at a time
+        for start in range(0, len(acc), BLOCK):
+            rows = acc[start : start + BLOCK]
+            part = far[: len(rows)]
+            np.matmul(t.fold_new[start : start + BLOCK], near, out=part)
+            rows += part
+        np.matmul(t.far_weights, acc, out=far)
 
 
 @dataclass(frozen=True)
@@ -649,6 +682,8 @@ def run_convergence(
     if mode == "vs_reference":
         if tau_ref is None:
             tau_ref = min(taus) / 8.0
+        if not tau_ref > 0.0:
+            raise ValueError(f"tau_ref={tau_ref} must be positive")
         stride = min(taus) / tau_ref
         if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
             raise ValueError(f"tau_ref={tau_ref} must divide the smallest tau={min(taus)}")

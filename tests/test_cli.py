@@ -245,6 +245,9 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
     pytest.param(WEIGHTS + ["--J", "-1"], id="J-negative"),
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "0.1"],
                  id="tau-ref-not-dividing"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "0"], id="tau-ref-0"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "-0.125"],
+                 id="tau-ref-negative"),
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.1"], id="taus-not-halving"),
     # refused at a later pair, after earlier pairs ran: still no CSV
     pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--alpha", "0.5,1.5"], id="second-pair-alpha-1.5"),

@@ -12,6 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 from hnmaxwell.prabhakar import (
+    MAX_TERMS,
+    REL_TOL,
     PrabhakarParams,
     SeriesConvergenceError,
     hn_kernel,
@@ -72,6 +74,37 @@ class TestMl3:
         with pytest.raises(SeriesConvergenceError) as exc:
             ml3(PrabhakarParams(0.1, 0.5, 0.9), 50.0)
         assert exc.value.last_term > 0.0
+
+    @pytest.mark.parametrize(
+        "rho,mu,gamma,z",
+        [
+            (0.5, 0.25, 0.5, -0.3),
+            (0.5, 4.25, 0.5, -1.0),
+            (0.1, 0.5, 0.9, 0.5),
+            (0.5, 0.5, 0.5, 6.0),
+        ],
+    )
+    def test_cached_ratios_keep_every_bit(self, rho, mu, gamma, z):
+        # the inline term-ratio recurrence, ratios recomputed at every call;
+        # the last case needs more terms than one cached block of ratios
+        term = total = 1.0 / math.gamma(mu)
+        comp = 0.0
+        for k in range(MAX_TERMS):
+            if abs(term) < REL_TOL * (1.0 + abs(total)):
+                break
+            ratio = (
+                (k + gamma)
+                / (k + 1.0)
+                * math.exp(math.lgamma(rho * k + mu) - math.lgamma(rho * (k + 1) + mu))
+            )
+            term = term * ratio * z
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        params = PrabhakarParams(rho, mu, gamma)
+        assert ml3(params, z) == total
+        assert ml3(params, z) == total  # again, from the cached ratios
 
     @pytest.mark.parametrize("alpha,beta,t", [(0.9, 0.5, 30.0), (0.5, 0.5, 100.0)])
     def test_cancellation_refused(self, alpha, beta, t):

@@ -3,6 +3,7 @@ FFT/Cauchy-integral coefficient oracle, and the second-order property
 checked against the exact kernel integrals."""
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hnmaxwell import quadrature
 from hnmaxwell.prabhakar import prabhakar_integral_monomial
 from hnmaxwell.quadrature import (
+    FIT_TARGET,
     FIT_TOL,
     SCHEMES,
     CM2Constants,
@@ -273,14 +276,21 @@ class TestQuadratureOrder:
 
 class TestExpSumFit:
     """Positive exponential sums fitted to the weight tables: positive
-    coefficients, rates in (0, 1), relative miss within FIT_TOL."""
+    coefficients, rates in (0, 1), relative miss within FIT_TARGET, or, where
+    no sum over the candidate rates reaches it, the best sum within FIT_TOL."""
 
     @staticmethod
     def _check(w):
         fit = fit_exp_sum(w)
         assert (fit.coeffs > 0.0).all()
         assert ((fit.rates > 0.0) & (fit.rates < 1.0)).all()
-        assert fit.miss <= FIT_TOL
+        assert FIT_TARGET < FIT_TOL and fit.miss <= FIT_TOL
+        if fit.miss > FIT_TARGET:
+            # the fit did not stop early: it is the fit that runs to the optimum
+            with mock.patch.object(quadrature, "FIT_TARGET", 0.0):
+                best = fit_exp_sum(w)
+            assert np.array_equal(best.coeffs, fit.coeffs)
+            assert np.array_equal(best.rates, fit.rates)
         # the reported miss is the one of the materialized sum
         assert np.max(np.abs(fit.weights() / w.weights - 1.0)) == pytest.approx(fit.miss, abs=1e-16)
         assert fit.w0 == pytest.approx(fit.weights()[0], rel=1e-15)
@@ -314,6 +324,16 @@ class TestExpSumFit:
     @example(beta=0.05, tau=0.5, n=1024)
     def test_bdf1_alpha_one(self, beta, tau, n):
         self._check(bdf_cq_weights(1, 1.0, beta, tau, n))
+
+    def test_fit_stops_at_the_target(self):
+        # the reference table of the convergence study: the fit that runs to
+        # the optimum needs more exponentials than the one that stops at the target
+        w = cm2_weights(0.5, 0.5, 1 / 320, 320)
+        fit = self._check(w)
+        with mock.patch.object(quadrature, "FIT_TARGET", 0.0):
+            best = fit_exp_sum(w)
+        assert best.miss < fit.miss <= FIT_TARGET
+        assert fit.rates.size < best.rates.size
 
     def test_bdf1_debye_is_one_exponential(self):
         # alpha = beta = 1: w_j = tau/(1+tau) * (1+tau)^-j exactly

@@ -2,6 +2,7 @@
 manufactured sources against quadrature oracles, and temporal convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,26 @@ class TestDenseHistoryOracle:
             build_mesh(5, 7), params, memory, lambda state: starts.append(state.block_start)
         )
         assert starts == [n - (n + 1) % BLOCK for n in range(n_steps + 1)]
+
+    def test_block_fold_makes_no_accumulator_sized_temporary(self):
+        # the step that closes a block folds L x dofs accumulators; at 32x32
+        # with a tau = 1/64 fit that is L > BLOCK rows, and the step allocates
+        # less than one copy of them
+        mesh = build_mesh(32, 32)
+        memory = cm2_memory(0.5, 0.5, 1 / 64, 64)
+        assert memory.rates.size > BLOCK
+        e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
+        state = init_state(mesh, default_params(), memory, e0, h0)
+        for _ in range(BLOCK - 2):
+            step(state)
+        tracemalloc.start()
+        try:
+            step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.n % BLOCK == BLOCK - 1
+        assert peak < state.acc_e.nbytes
 
     def test_vanishing_rates_leave_no_subnormals(self):
         # r = 1e-20 has a subnormal r^16; r = e^-400 is the smallest candidate
