@@ -2,8 +2,8 @@
 
 Each function exercises one advertised guarantee of the package at its
 stated tolerance and returns a :class:`CheckResult`; the CLI maps every
-experiment to the checks that cover it, and the acceptance test suite runs
-all of them.
+experiment to the checks that cover it, and the acceptance tests call each
+one by name.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "check_temporal_convergence",
     "check_debye_limits",
     "check_fem_structure",
-    "ALL_CHECKS",
 ]
 
 
@@ -202,14 +201,3 @@ def check_fem_structure() -> CheckResult:
     detail = f"max |C G| = {curl_grad_max}; CN energy drift {drift:.3e} over 100 steps"
     return _result("FEM structure (curl-grad identity, CN conservation)", start, ok, detail)
 
-
-ALL_CHECKS = (
-    check_quadrature_order,
-    check_cm_indices,
-    check_bdf2_violations,
-    check_consistency_residual,
-    check_energy_decay,
-    check_temporal_convergence,
-    check_debye_limits,
-    check_fem_structure,
-)

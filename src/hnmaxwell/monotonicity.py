@@ -60,8 +60,8 @@ def index_k(w: np.ndarray, k: int, j_max: int) -> float:
     w = np.asarray(w, dtype=float)
     if j_max >= w.size:
         raise ValueError(f"window J={j_max} needs at least J+1 weights, got {w.size}")
-    if k > j_max:
-        raise ValueError(f"difference order k={k} exceeds window J={j_max}")
+    if not 0 <= k <= j_max:
+        raise ValueError(f"difference order k={k} must lie in [0, J={j_max}]")
     return float(_differences(w[: j_max + 1], k)[k].min())
 
 
@@ -72,6 +72,8 @@ def indicator_rho(x: float) -> int:
 
 def default_grid(step: float = 0.05) -> np.ndarray:
     """Interior grid over (0, 1): step, 2*step, ..., up to but excluding 1."""
+    if not 0.0 < step < 1.0:
+        raise ValueError(f"grid step {step:g} must lie in (0, 1)")
     n = int(round(1.0 / step)) - 1
     return np.round(np.arange(1, n + 1) * step, 12)
 
@@ -96,10 +98,13 @@ def sweep_grid(
 
     Rows come row-major over the grid (alpha outer, beta inner) regardless of
     worker scheduling.  The pool never holds more processes than there are
-    cells or CPUs, whatever ``threads`` asks for; ``threads`` below 1 is refused.
+    cells or CPUs, whatever ``threads`` asks for; ``threads`` below 1 and a
+    ``k_max`` outside [0, ``j_max``] are refused before any table is made.
     """
     if len(alpha_grid) == 0 or len(beta_grid) == 0:
         raise ValueError("alpha and beta grids must be nonempty")
+    if not 0 <= k_max <= j_max:
+        raise ValueError(f"difference order k_max={k_max} must lie in [0, J={j_max}]")
     if threads is not None and threads < 1:
         raise ValueError(f"threads={threads} must be at least 1")
     jobs = [(scheme, float(a), float(b), tau, j_max, k_max) for a in alpha_grid for b in beta_grid]

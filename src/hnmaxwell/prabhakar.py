@@ -31,6 +31,7 @@ from dataclasses import dataclass
 __all__ = [
     "PrabhakarParams",
     "SeriesConvergenceError",
+    "check_orders",
     "ml3",
     "prabhakar_e",
     "hn_kernel",
@@ -146,7 +147,7 @@ def hn_kernel(alpha: float, beta: float, t: float) -> float:
     Singular like t^(alpha*beta - 1) at the origin when alpha*beta < 1;
     reduces to exp(-t) in the Debye limit alpha = beta = 1.
     """
-    _check_orders(alpha, beta)
+    check_orders(alpha, beta)
     if t <= 0.0:
         raise ValueError(f"kernel argument t must be positive, got {t}")
     return prabhakar_e(PrabhakarParams(alpha, alpha * beta, beta), t)
@@ -160,7 +161,7 @@ def prabhakar_integral_monomial(alpha: float, beta: float, k: int, t: float) -> 
 
     Returns 0 for t = 0 (empty integral).
     """
-    _check_orders(alpha, beta)
+    check_orders(alpha, beta)
     if k < 0:
         raise ValueError(f"monomial degree k must be >= 0, got {k}")
     if t < 0.0:
@@ -171,6 +172,7 @@ def prabhakar_integral_monomial(alpha: float, beta: float, k: int, t: float) -> 
     return math.factorial(k) * prabhakar_e(params, t)
 
 
-def _check_orders(alpha: float, beta: float) -> None:
+def check_orders(alpha: float, beta: float) -> None:
+    """Refuse H-N orders outside (0, 1], where the kernel is completely monotone."""
     if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
         raise ValueError(f"fractional orders must lie in (0, 1], got alpha={alpha}, beta={beta}")

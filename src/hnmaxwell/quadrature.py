@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prabhakar import check_orders
 from .series import binom_series, series_mul, series_pow
 
 __all__ = [
@@ -208,10 +209,9 @@ def _symbol(scheme: str, alpha: float, tau: float) -> tuple[float, float, float]
 def generate_weights(scheme: str, alpha: float, beta: float, tau: float, n: int) -> CQWeights:
     """Weights w[0..n] of the scheme "cm2", "bdf1" or "bdf2": the Taylor
     coefficients of [1 + s * (1-z)^alpha * (1-d*z)^e]^(-beta)."""
-    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
-        raise ValueError(f"fractional orders must lie in (0, 1], got alpha={alpha}, beta={beta}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_orders(alpha, beta)
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     s, d, e = _symbol(scheme, alpha, tau)
     b = s * series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
     b[0] += 1.0

@@ -88,7 +88,7 @@ from .fem import (
     interpolate_H,
     l2_error,
 )
-from .prabhakar import prabhakar_integral_monomial
+from .prabhakar import check_orders, prabhakar_integral_monomial
 from .quadrature import ExpSum, fit_exp_sum, generate_weights
 
 __all__ = [
@@ -145,10 +145,7 @@ class HNParams:
             raise ValueError(f"eps_inf must be finite and >= 1, got {self.eps_inf}")
         if not 0.0 <= self.delta_eps < math.inf:
             raise ValueError(f"delta_eps must be finite and >= 0, got {self.delta_eps}")
-        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
-            raise ValueError(
-                f"fractional orders must lie in (0, 1], got alpha={self.alpha}, beta={self.beta}"
-            )
+        check_orders(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -667,12 +664,19 @@ def run_convergence(
 
     "vs_exact" measures against the analytic fields (contains the spatial
     floor of the lowest-order elements); "vs_reference" measures against a
-    fine-step trajectory on the same mesh, isolating the time error.
+    fine-step trajectory on the same mesh, isolating the time error.  Its step
+    ``tau_ref`` must divide the smallest tau and defaults to an eighth of it;
+    "vs_exact" refuses a ``tau_ref``.  Every step size is checked before the
+    first step is taken.
     """
     taus = sorted(float(t) for t in tau_list)[::-1]
     _check_halving(taus)
+    for tau in taus:
+        _step_count(t_final, tau)
     if mode not in ("vs_exact", "vs_reference"):
         raise ValueError(f"mode must be 'vs_exact' or 'vs_reference', got {mode!r}")
+    if mode == "vs_exact" and tau_ref is not None:
+        raise ValueError(f"tau_ref={tau_ref} is used only by mode 'vs_reference'")
     modes = mesh.modes
     sources = manufactured_sources(params).assemble(mesh)
 
@@ -736,8 +740,11 @@ def run_convergence(
 
 
 def _step_count(t_final: float, tau: float) -> int:
+    for name, value in (("tau", tau), ("final time", t_final)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     n = t_final / tau
-    if abs(n - round(n)) > 1e-9 or round(n) < 1:
+    if not n < math.inf or abs(n - round(n)) > 1e-9 or round(n) < 1:
         raise ValueError(f"final time {t_final} must be an integer multiple of tau={tau}")
     return round(n)
 

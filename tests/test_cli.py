@@ -2,12 +2,13 @@
 
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from hnmaxwell import checks
-from hnmaxwell.cli import build_config, main
+from hnmaxwell.cli import ExperimentConfig, build_config, main
 from hnmaxwell.monotonicity import index_k
 from hnmaxwell.prabhakar import hn_kernel
 from hnmaxwell.quadrature import cm2_weights
@@ -195,6 +196,8 @@ def test_unknown_config_key(tmp_path, capsys):
 
 def test_missing_required_option():
     assert main(["weights", "--beta", "0.5", "--tau", "0.01"]) == 2
+    with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
+        ExperimentConfig("bogus").validate()
 
 
 def test_non_integer_step_count():
@@ -249,11 +252,13 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "-0.125"],
                  id="tau-ref-negative"),
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.1"], id="taus-not-halving"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--mode", "vs_exact",
+                                    "--tau-ref", "0.0625"], id="vs-exact-tau-ref"),
     # refused at a later pair, after earlier pairs ran: still no CSV
     pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--alpha", "0.5,1.5"], id="second-pair-alpha-1.5"),
     pytest.param(ENERGY_2X2 + ["--tau", "0.1", "--scheme", "bdf2", "--alpha", "0.5,0.9",
                                "--beta", "0.5,0.9"], id="last-pair-not-cm"),
-    # cross-option nonsense that validate refuses
+    # cross-option nonsense that the consuming library function refuses
     pytest.param(["cm-check", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.01", "--J", "2"],
                  id="kmax-above-J"),
     pytest.param(["cm-check", "--tau", "0.01", "--grid-step", "0"], id="grid-step-0"),
@@ -301,6 +306,9 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
         "kernel", "--alpha", "1", "--beta", "1", "--points", "5", "--out", str(tmp_path),
         "--check",
     ]) == 1
+    # a check that passes its tolerance but overruns its runtime budget fails
+    late = checks._result("slow", time.perf_counter() - 2.0, True, "ok", budget=1.0)
+    assert not late.passed and "exceeded budget 1s" in late.detail
 
 
 # Every config key, its flag, and two non-default values that a convergence

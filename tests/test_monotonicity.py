@@ -65,6 +65,8 @@ def test_index_window_validation():
         index_k(w, 1, 10)
     with pytest.raises(ValueError):
         index_k(w, 5, 4)
+    with pytest.raises(ValueError):
+        index_k(w, -1, 9)
 
 
 def test_cm2_indices_nonnegative():
@@ -88,6 +90,9 @@ def test_default_grid():
     g = default_grid(0.05)
     assert g.size == 19
     assert g[0] == pytest.approx(0.05) and g[-1] == pytest.approx(0.95)
+    for step in (0.0, 1.0):
+        with pytest.raises(ValueError, match="grid step"):
+            default_grid(step)
 
 
 def test_sweep_single_point_matches_direct():
@@ -111,6 +116,16 @@ def test_sweep_parallel_matches_serial():
 def test_empty_grid_rejected():
     with pytest.raises(ValueError):
         sweep_grid("cm2", [], [0.5], 0.01, 100, 3)
+
+
+@pytest.mark.parametrize("k_max", [-1, 101], ids=["kmax-negative", "kmax-above-J"])
+def test_sweep_window_rejected_before_any_table(monkeypatch, k_max):
+    def fail(*args):
+        raise AssertionError("a weight table was generated")
+
+    monkeypatch.setattr(monotonicity, "generate_weights", fail)
+    with pytest.raises(ValueError, match="k_max"):
+        sweep_grid("cm2", [0.5], [0.5], 0.01, 100, k_max, threads=1)
 
 
 def test_threads_below_one_rejected():

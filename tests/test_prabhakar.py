@@ -18,6 +18,7 @@ from hnmaxwell.prabhakar import (
     SeriesConvergenceError,
     hn_kernel,
     ml3,
+    prabhakar_e,
     prabhakar_integral_monomial,
 )
 
@@ -145,6 +146,9 @@ class TestHnKernel:
             hn_kernel(0.5, 0.5, -1.0)
         with pytest.raises(ValueError):
             hn_kernel(1.5, 0.5, 1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t must be positive"):
+                prabhakar_e(PrabhakarParams(0.5, 0.25, 0.5), t)
 
 
 class TestPrabhakarIntegralMonomial:
@@ -190,3 +194,5 @@ class TestPrabhakarIntegralMonomial:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             prabhakar_integral_monomial(0.5, 0.5, -1, 1.0)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            prabhakar_integral_monomial(0.5, 0.5, 3, -1.0)

@@ -18,6 +18,7 @@ from hnmaxwell.quadrature import (
     FIT_TOL,
     SCHEMES,
     CM2Constants,
+    CQWeights,
     NotCompletelyMonotoneError,
     _nnls,
     bdf_cq_weights,
@@ -218,13 +219,16 @@ class TestSchemeDispatch:
     def test_routes(self):
         for scheme in SCHEMES:
             assert generate_weights(scheme, 0.5, 0.5, 0.1, 3).scheme == scheme
-            # orders outside (0, 1] and a step that is not positive are refused by every scheme
+            # orders outside (0, 1] and a step not positive and finite are refused by every scheme
             for alpha, beta, tau in [(0.0, 0.5, 0.1), (1.1, 0.5, 0.1), (0.5, 0.0, 0.1),
-                                     (0.5, 1.1, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, -1.0)]:
+                                     (0.5, 1.1, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, -1.0),
+                                     (0.5, 0.5, math.inf), (0.5, 0.5, math.nan)]:
                 with pytest.raises(ValueError):
                     generate_weights(scheme, alpha, beta, tau, 3)
         with pytest.raises(ValueError, match="unknown scheme"):
             generate_weights("rk", 0.5, 0.5, 0.1, 3)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            CQWeights("rk", 0.5, 0.5, 0.1, [1.0])
 
 
 class TestConsistencyResidual:

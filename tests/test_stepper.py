@@ -646,6 +646,19 @@ class TestConvergence:
             run_convergence(
                 mesh, default_params(), (1 / 10, 1 / 20), mode="vs_reference", tau_ref=1 / 50
             )
+        with pytest.raises(ValueError, match="tau_ref"):
+            run_convergence(
+                mesh, default_params(), (1 / 10, 1 / 20), mode="vs_exact", tau_ref=1 / 80
+            )
+
+    def test_coarse_step_refused_before_any_step(self, monkeypatch):
+        # T = 0.75 is 3 steps of 0.25 but not whole steps of 0.5: refused before
+        # the reference run takes its first step
+        calls = []
+        monkeypatch.setattr(stepper, "step", lambda state: calls.append(state.n))
+        with pytest.raises(ValueError, match="multiple of tau=0.5"):
+            run_convergence(build_mesh(2, 2), default_params(), (0.5, 0.25), t_final=0.75)
+        assert calls == []
 
     def test_observed_rates(self):
         assert observed_rates([(0.1, 1e-2), (0.05, 2.5e-3)]) == [2.0]
@@ -662,3 +675,9 @@ class TestConvergence:
         mesh = build_mesh(4, 4)
         with pytest.raises(ValueError):
             run_energy(mesh, default_params(), tau=0.3, t_final=1.0)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            run_energy(mesh, default_params(), tau=0.0, t_final=1.0)
+        with pytest.raises(ValueError, match="final time must be positive and finite"):
+            run_energy(mesh, default_params(), tau=0.25, t_final=math.inf)
+        with pytest.raises(ValueError, match="integer multiple"):  # T / tau overflows
+            run_energy(mesh, default_params(), tau=1e-300, t_final=1e300)
