@@ -11,7 +11,7 @@ convolution quadrature, although also second-order accurate, does not: its
 higher differences go negative on a growing set of (alpha, beta) pairs.
 """
 
-from hnmaxwell import bdf_cq_weights, cm2_weights, index_k
+from hnmaxwell import cm2_weights, generate_weights, index_k
 
 TAU, J = 0.01, 1000
 
@@ -29,7 +29,7 @@ print()
 print("BDF-2 convolution quadrature on the same parameters:")
 print("  (alpha, beta)    k=0          k=1          k=2          k=3")
 for alpha, beta in ((0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (0.9, 0.9)):
-    w = bdf_cq_weights(2, alpha, beta, TAU, J).weights
+    w = generate_weights("bdf2", alpha, beta, TAU, J).weights
     idx = [index_k(w, k, J) for k in range(4)]
     print(f"  ({alpha:3.1f}, {beta:3.1f})  " + "  ".join(f"{v:11.3e}" for v in idx))
 print("  -> negative first/second/third differences appear as alpha, beta")
@@ -39,7 +39,7 @@ print("     keep complete monotonicity.")
 print()
 print("First few weights side by side at alpha = beta = 0.9:")
 cm = cm2_weights(0.9, 0.9, TAU, 6).weights
-bdf = bdf_cq_weights(2, 0.9, 0.9, TAU, 6).weights
+bdf = generate_weights("bdf2", 0.9, 0.9, TAU, 6).weights
 print("  j     cm2            bdf2")
 for j in range(7):
     print(f"  {j}  {cm[j]:13.6e}  {bdf[j]:13.6e}")

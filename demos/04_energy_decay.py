@@ -18,9 +18,9 @@ fractional orders, including a deliberately huge step.
 
 import numpy as np
 
-from hnmaxwell import HNParams, build_mesh, run_energy
+from hnmaxwell import HNParams, MaxwellMesh, run_energy
 
-mesh = build_mesh(32, 32)
+mesh = MaxwellMesh(32, 32)
 
 print("16 runs, 32x32 mesh, tau = 0.01, T = 1, zero sources")
 print()
@@ -47,5 +47,5 @@ print("  still monotonically decaying on this data.")
 print()
 print("With dispersion switched off (delta_eps = 0) the scheme is plain")
 print("Crank-Nicolson Maxwell and conserves its energy to machine precision:")
-tr = run_energy(build_mesh(16, 16), HNParams(1.0, 0.0, 0.5, 0.5), tau=0.01, t_final=1.0)
+tr = run_energy(MaxwellMesh(16, 16), HNParams(1.0, 0.0, 0.5, 0.5), tau=0.01, t_final=1.0)
 print(f"  relative drift over 100 steps: {np.abs(tr.total - tr.total[0]).max() / tr.total[0]:.2e}")

@@ -8,12 +8,12 @@ reference trajectory on the same mesh isolate the time discretization from
 the first-order spatial floor of the lowest-order edge elements, exposing
 the clean O(tau^2) of the convolution quadrature + midpoint pairing.
 
-Roughly a minute of runtime on a laptop-class machine.
+About 1 s on a 2-vCPU machine.
 """
 
-from hnmaxwell import HNParams, build_mesh, run_convergence
+from hnmaxwell import HNParams, MaxwellMesh, run_convergence
 
-mesh = build_mesh(64, 64)
+mesh = MaxwellMesh(64, 64)
 taus = (1 / 10, 1 / 20, 1 / 40)
 
 print("64x64 mesh, reference step 1/320, max-over-time L2 differences")

@@ -9,7 +9,6 @@ from .fem import (
     assemble,
     assemble_cell_load,
     assemble_edge_load,
-    build_mesh,
     interpolate_E,
     interpolate_H,
     l2_error,
@@ -23,11 +22,9 @@ from .prabhakar import (
     prabhakar_integral_monomial,
 )
 from .quadrature import (
-    CM2Constants,
     CQWeights,
     ExpSum,
     NotCompletelyMonotoneError,
-    bdf_cq_weights,
     cm2_weights,
     delta_consistency_residual,
     fit_exp_sum,
@@ -43,7 +40,6 @@ from .stepper import (
     SourceSet,
     StepOperator,
     StepperState,
-    energy,
     energy_components,
     init_state,
     manufactured_sources,

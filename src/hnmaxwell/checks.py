@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import assemble, build_mesh
+from .fem import MaxwellMesh, assemble
 from .monotonicity import default_grid, sweep_grid
 from .prabhakar import PrabhakarParams, hn_kernel, ml3, prabhakar_integral_monomial
 from .quadrature import cm2_weights, delta_consistency_residual
@@ -128,7 +128,7 @@ def check_energy_decay() -> CheckResult:
     runs (32x32 mesh, tau = 0.01, T = 1) and for a deliberately coarse
     tau = 0.5 run."""
     start = time.perf_counter()
-    mesh = build_mesh(32, 32)
+    mesh = MaxwellMesh(32, 32)
     worst = -np.inf
     ok = True
     for beta in (0.1, 0.4, 0.7, 1.0):
@@ -151,7 +151,7 @@ def check_temporal_convergence() -> CheckResult:
     """Second-order temporal rates of the full scheme measured against a
     fine-step reference trajectory (64x64 mesh, tau_ref = 1/320)."""
     start = time.perf_counter()
-    mesh = build_mesh(64, 64)
+    mesh = MaxwellMesh(64, 64)
     taus = (1 / 10, 1 / 20, 1 / 40)
     ok = True
     details = []
@@ -189,11 +189,11 @@ def check_fem_structure() -> CheckResult:
     """Structural identities: curl of the discrete gradient vanishes exactly;
     the dispersion-free scheme conserves the Crank-Nicolson energy."""
     start = time.perf_counter()
-    ops = assemble(build_mesh(5, 4))
+    ops = assemble(MaxwellMesh(5, 4))
     # each product rounded on its own: a fused multiply-add, as in a BLAS
     # matrix product, keeps the rounding of hx * (1/hx) and leaves 6e-17
     curl_grad_max = float(np.abs((ops.c_full[:, :, None] * ops.grad_full).sum(axis=1)).max())
-    mesh = build_mesh(16, 16)
+    mesh = MaxwellMesh(16, 16)
     params = HNParams(eps_inf=1.0, delta_eps=0.0, alpha=0.5, beta=0.5)
     tr = run_energy(mesh, params, tau=0.01, t_final=1.0)
     drift = float(np.abs(tr.total - tr.total[0]).max()) / tr.total[0]

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import checks
-from .fem import build_mesh
+from .fem import MaxwellMesh
 from .monotonicity import default_grid, indicator_rho, sweep_grid
 from .prabhakar import SeriesConvergenceError, hn_kernel
 from .quadrature import SCHEMES, generate_weights
@@ -206,7 +206,7 @@ def _run_kernel(cfg: ExperimentConfig) -> Iterator[tuple]:
 
 
 def _run_convergence(cfg: ExperimentConfig) -> Iterator[tuple]:
-    mesh = build_mesh(cfg.nx, cfg.ny)
+    mesh = MaxwellMesh(cfg.nx, cfg.ny)
     params = HNParams(cfg.eps_inf, cfg.delta_eps, cfg.alphas[0], cfg.betas[0])
     report = run_convergence(mesh, params, cfg.taus, mode=cfg.mode, tau_ref=cfg.tau_ref,
                              t_final=cfg.t_final, scheme=cfg.scheme)
@@ -222,7 +222,7 @@ def _run_convergence(cfg: ExperimentConfig) -> Iterator[tuple]:
 
 
 def _run_energy(cfg: ExperimentConfig) -> Iterator[tuple]:
-    mesh = build_mesh(cfg.nx, cfg.ny)
+    mesh = MaxwellMesh(cfg.nx, cfg.ny)
     line = "%d" + ",%.16e" * 5  # the level, then _fmt of each float column
     for beta in cfg.betas:
         for alpha in cfg.alphas:

@@ -45,7 +45,6 @@ __all__ = [
     "MeshModes",
     "FieldVectors",
     "AssembledOperators",
-    "build_mesh",
     "assemble",
     "interpolate_E",
     "interpolate_H",
@@ -277,10 +276,6 @@ class AssembledOperators:
     m_h_diag: np.ndarray
     c_full: np.ndarray
     grad_full: np.ndarray
-
-
-def build_mesh(nx: int, ny: int) -> MaxwellMesh:
-    return MaxwellMesh(nx=nx, ny=ny)
 
 
 def assemble(mesh: MaxwellMesh) -> AssembledOperators:

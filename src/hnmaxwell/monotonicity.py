@@ -23,6 +23,7 @@ ones are large and subtract without cancellation.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Sequence
 
@@ -71,10 +72,11 @@ def indicator_rho(x: float) -> int:
 
 
 def default_grid(step: float = 0.05) -> np.ndarray:
-    """Interior grid over (0, 1): step, 2*step, ..., up to but excluding 1."""
+    """Interior grid over (0, 1): every k*step below 1, where a k*step within
+    rounding of 1 counts as 1."""
     if not 0.0 < step < 1.0:
         raise ValueError(f"grid step {step:g} must lie in (0, 1)")
-    n = int(round(1.0 / step)) - 1
+    n = math.ceil(1.0 / step - 1e-9) - 1
     return np.round(np.arange(1, n + 1) * step, 12)
 
 
@@ -100,6 +102,8 @@ def sweep_grid(
     worker scheduling.  The pool never holds more processes than there are
     cells or CPUs, whatever ``threads`` asks for; ``threads`` below 1 and a
     ``k_max`` outside [0, ``j_max``] are refused before any table is made.
+    The first cell is evaluated here, before any pool starts, so a value that
+    :func:`generate_weights` refuses costs no worker processes.
     """
     if len(alpha_grid) == 0 or len(beta_grid) == 0:
         raise ValueError("alpha and beta grids must be nonempty")
@@ -108,13 +112,14 @@ def sweep_grid(
     if threads is not None and threads < 1:
         raise ValueError(f"threads={threads} must be at least 1")
     jobs = [(scheme, float(a), float(b), tau, j_max, k_max) for a in alpha_grid for b in beta_grid]
+    first = _sweep_point(jobs[0])
     cpus = os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, len(jobs), cpus)
     if workers <= 1 or len(jobs) < 4:
-        return [_sweep_point(job) for job in jobs]
+        return [first, *map(_sweep_point, jobs[1:])]
     # imported here: the process pool costs every other run about 30 ms of imports
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(jobs) // (4 * workers))
-        return list(pool.map(_sweep_point, jobs, chunksize=chunk))
+        return [first, *pool.map(_sweep_point, jobs[1:], chunksize=chunk)]

@@ -33,7 +33,6 @@ __all__ = [
     "SeriesConvergenceError",
     "check_orders",
     "ml3",
-    "prabhakar_e",
     "hn_kernel",
     "prabhakar_integral_monomial",
 ]
@@ -134,13 +133,6 @@ def _term_ratios(rho: float, mu: float, gamma: float, block: int) -> tuple[float
     )
 
 
-def prabhakar_e(params: PrabhakarParams, t: float) -> float:
-    """Kernel-form evaluation t^(mu-1) * ml3(params, -t^rho) for t > 0."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    return t ** (params.mu - 1.0) * ml3(params, -t**params.rho)
-
-
 def hn_kernel(alpha: float, beta: float, t: float) -> float:
     """Havriliak-Negami relaxation kernel at time t > 0.
 
@@ -150,7 +142,8 @@ def hn_kernel(alpha: float, beta: float, t: float) -> float:
     check_orders(alpha, beta)
     if t <= 0.0:
         raise ValueError(f"kernel argument t must be positive, got {t}")
-    return prabhakar_e(PrabhakarParams(alpha, alpha * beta, beta), t)
+    params = PrabhakarParams(alpha, alpha * beta, beta)
+    return t ** (params.mu - 1.0) * ml3(params, -t**alpha)
 
 
 def prabhakar_integral_monomial(alpha: float, beta: float, k: int, t: float) -> float:
@@ -169,7 +162,7 @@ def prabhakar_integral_monomial(alpha: float, beta: float, k: int, t: float) -> 
     if t == 0.0:
         return 0.0
     params = PrabhakarParams(alpha, alpha * beta + k + 1.0, beta)
-    return math.factorial(k) * prabhakar_e(params, t)
+    return math.factorial(k) * (t ** (params.mu - 1.0) * ml3(params, -t**alpha))
 
 
 def check_orders(alpha: float, beta: float) -> None:

@@ -1,9 +1,10 @@
 """Convolution-quadrature weight generation for the Havriliak-Negami kernel.
 
-Two families are provided:
+Three schemes, named in ``SCHEMES``, each built by
+``generate_weights(scheme, alpha, beta, tau, n)``:
 
-* ``cm2_weights`` - the completely-monotone second-order weights.  Their
-  generating function is
+* "cm2" - the completely-monotone second-order weights (also
+  ``cm2_weights``).  Their generating function is
 
       w(z) = [1 + ((1-z)/tau)^alpha * (c*(1 - d*z))^(1-alpha)]^(-beta),
       c = (2-alpha)/(2-2*alpha),  d = alpha/(2-alpha),
@@ -11,7 +12,7 @@ Two families are provided:
   whose Taylor coefficients give a nonnegative, completely monotonic weight
   sequence while retaining second-order quadrature accuracy.
 
-* ``bdf_cq_weights`` - classical CQ built on BDF-1/BDF-2 generating
+* "bdf1" and "bdf2" - classical CQ built on the BDF-1/BDF-2 generating
   polynomials, w(z) = (1 + (delta(z)/tau)^alpha)^(-beta).  BDF-2 weights are
   second order but lose complete monotonicity; they exist here as the
   counterexample baseline.
@@ -26,8 +27,8 @@ with (s, d, e) = (tau^-alpha c^(1-alpha), d, 1-alpha) for cm2,
 (tau^-alpha, 0, 0) for bdf1 and ((3/(2 tau))^alpha, 1/3, alpha) for bdf2
 (``_symbol``).  ``generate_weights`` is the one builder: it validates the
 orders and the step, and makes one call of the Miller recurrence
-(``series_pow``) per table; ``cm2_weights`` and ``bdf_cq_weights`` route into
-it.  An independent FFT/Cauchy-integral oracle lives in the tests.
+(``series_pow``) per table.  An independent FFT/Cauchy-integral oracle lives
+in the tests.
 
 ``fit_exp_sum`` compresses a table into a positive exponential sum
 w_hat_j = sum_l c_l r_l^j (c_l > 0, 0 < r_l < 1).  Such a sum is a Hausdorff
@@ -58,9 +59,8 @@ __all__ = [
     "FIT_TOL",
     "FIT_TARGET",
     "fit_exp_sum",
-    "CM2Constants",
     "cm2_weights",
-    "bdf_cq_weights",
+    "generate_weights",
     "delta_consistency_residual",
     "SCHEMES",
 ]
@@ -159,46 +159,28 @@ def fit_exp_sum(w: CQWeights) -> ExpSum:
     return ExpSum(tau=w.tau, order=w.order, coeffs=coeffs, rates=rates, miss=miss)
 
 
-@dataclass(frozen=True)
-class CM2Constants:
-    """Constants of the completely-monotone second-order generating function."""
-
-    c: float
-    d: float
-    gamma0: float
-    gamma1: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "CM2Constants":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-        c = (2.0 - alpha) / (2.0 - 2.0 * alpha)
-        d = alpha / (2.0 - alpha)
-        return cls(c=c, d=d, gamma0=-c, gamma1=alpha / (2.0 - 2.0 * alpha))
+def _cm2_constants(alpha: float) -> tuple[float, float]:
+    """(c, d) of the completely-monotone second-order generating function."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    return (2.0 - alpha) / (2.0 - 2.0 * alpha), alpha / (2.0 - alpha)
 
 
 def cm2_weights(alpha: float, beta: float, tau: float, n: int) -> CQWeights:
     """Completely-monotone second-order quadrature weights w[0..n].
 
     Requires 0 < alpha < 1 (alpha = 1 has no finite constants; route that
-    case to ``bdf_cq_weights`` order 1).  beta = 1 is accepted for the
+    case to ``generate_weights("bdf1", ...)``).  beta = 1 is accepted for the
     Cole-Cole special case; 0 < beta < 1 is the generic range.
     """
     return generate_weights("cm2", alpha, beta, tau, n)
 
 
-def bdf_cq_weights(order: int, alpha: float, beta: float, tau: float, n: int) -> CQWeights:
-    """Classical CQ weights from the BDF-1 or BDF-2 generating polynomial."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return generate_weights(f"bdf{order}", alpha, beta, tau, n)
-
-
 def _symbol(scheme: str, alpha: float, tau: float) -> tuple[float, float, float]:
     """(s, d, e) of the scheme's symbol s * (1-z)^alpha * (1-d*z)^e."""
     if scheme == "cm2":
-        k = CM2Constants.from_alpha(alpha)
-        return tau ** (-alpha) * k.c ** (1.0 - alpha), k.d, 1.0 - alpha
+        c, d = _cm2_constants(alpha)
+        return tau ** (-alpha) * c ** (1.0 - alpha), d, 1.0 - alpha
     if scheme == "bdf1":  # delta_1 = 1 - z
         return tau ** (-alpha), 0.0, 0.0
     if scheme == "bdf2":  # delta_2 = (1-z) + (1-z)^2/2 = (3/2)(1-z)(1-z/3)
@@ -224,9 +206,9 @@ def delta_consistency_residual(alpha: float, tau: float) -> float:
     r(tau) = (1 - e^-tau)/tau * (c*(1 - d*e^-tau))^((1-alpha)/alpha) must
     equal 1 + O(tau^2); the returned residual decays quadratically in tau.
     """
-    consts = CM2Constants.from_alpha(alpha)
+    c, d = _cm2_constants(alpha)
     z = math.exp(-tau)
-    r = (1.0 - z) / tau * (consts.c * (1.0 - consts.d * z)) ** ((1.0 - alpha) / alpha)
+    r = (1.0 - z) / tau * (c * (1.0 - d * z)) ** ((1.0 - alpha) / alpha)
     return r - 1.0
 
 
@@ -269,13 +251,13 @@ def _singular_points(scheme: str, alpha: float, tau: float) -> list[float]:
     if scheme == "bdf2":
         # |delta(z)| = (z - 1)(3 - z)/2 = tau on (1, 3)
         return [2.0 - math.sqrt(1.0 - 2.0 * tau)] if tau < 0.5 else []
-    k = CM2Constants.from_alpha(alpha)
-    modulus = lambda z: ((z - 1.0) / tau) ** alpha * (k.c * abs(1.0 - k.d * z)) ** (1.0 - alpha)
-    hi = 2.0 / k.d
+    c, d = _cm2_constants(alpha)
+    modulus = lambda z: ((z - 1.0) / tau) ** alpha * (c * abs(1.0 - d * z)) ** (1.0 - alpha)
+    hi = 2.0 / d
     while modulus(hi) < 1.0:
         hi *= 2.0
-    points = [_bisect(modulus, 1.0 / k.d, hi)]
-    z_peak = (alpha + (1.0 - alpha) * k.d) / k.d  # maximum of the modulus on (1, 1/d)
+    points = [_bisect(modulus, 1.0 / d, hi)]
+    z_peak = (alpha + (1.0 - alpha) * d) / d  # maximum of the modulus on (1, 1/d)
     if modulus(z_peak) > 1.0:
         points.insert(0, _bisect(modulus, 1.0, z_peak))
     return points
@@ -295,10 +277,10 @@ def _bisect(modulus, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _nnls(a: np.ndarray, b: np.ndarray, target: float | None = None) -> np.ndarray:
-    """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method,
-    or with a ``target`` the first positive passive solution x whose residual
-    max |a x - b| is at most ``target``.
+def _nnls(a: np.ndarray, b: np.ndarray, target: float) -> np.ndarray:
+    """The first positive passive solution x of the Lawson-Hanson active-set
+    method for argmin ||a x - b|| over x >= 0 whose residual max |a x - b| is
+    at most ``target``, else the minimizer itself (``target`` 0 asks for it).
 
     The columns are scaled to unit norm and the problem is reduced to the
     triangular factor [r | d] of [a | b].  The passive columns keep a full QR
@@ -346,10 +328,9 @@ def _nnls(a: np.ndarray, b: np.ndarray, target: float | None = None) -> np.ndarr
             s = np.linalg.solve(r[:k, cols], d[:k])  # upper triangular: LU does not pivot
             if s.min() > 0.0:
                 x[cols] = s
-                if target is not None:
-                    residual = a[:, cols] @ (s / scale[cols]) - b
-                    if np.max(np.abs(residual)) <= target:
-                        return x / scale
+                residual = a[:, cols] @ (s / scale[cols]) - b
+                if np.max(np.abs(residual)) <= target:
+                    return x / scale
                 break
             xp = x[cols]
             step = xp - s

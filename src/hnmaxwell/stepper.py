@@ -103,7 +103,6 @@ __all__ = [
     "ErrorReport",
     "init_state",
     "step",
-    "energy",
     "energy_components",
     "manufactured_sources",
     "exact_E",
@@ -354,14 +353,6 @@ class StepperState:
         """The last block boundary b <= n (A^b is in ``acc_e``)."""
         return self.n - (self.n + 1) % BLOCK
 
-    @property
-    def tau(self) -> float:
-        return self.memory.tau
-
-    @property
-    def capacity(self) -> int:
-        return self.memory.order
-
 
 def init_state(
     mesh: MaxwellMesh,
@@ -402,11 +393,11 @@ def init_state(
 def step(state: StepperState) -> StepperState:
     """Advance the state from level n to n+1 in place (and return it)."""
     m = state.n + 1
-    if m > state.capacity:
-        raise ValueError(f"state capacity {state.capacity} exhausted at step {m}")
+    if m > state.memory.order:
+        raise ValueError(f"state capacity {state.memory.order} exhausted at step {m}")
     params, op = state.params, state.operator
     e_prev, h_prev = state.e, state.h
-    g1, g2, g3 = state.sources.at(m * state.tau)
+    g1, g2, g3 = state.sources.at(m * state.memory.tau)
     source_p = None if g3 is None else op.solve_mass(g3)  # M_E^{-1} g3(t_m), the source part of P^m
 
     # delta_eps times the history sum S = sum_{k<m} w_{m-k} e^k = sum_l c_l r_l A_l^{m-1}
@@ -500,11 +491,6 @@ def energy_components(state: StepperState) -> tuple[float, float, float]:
     return term_e, term_h, term_hist
 
 
-def energy(state: StepperState) -> float:
-    """Discrete energy at the current level."""
-    return sum(energy_components(state))
-
-
 # --- manufactured solution -------------------------------------------------
 #
 # E = t^3 * Ehat,  P = (1 - e^-t) * Phat,  H = e^-t * Hhat  with
@@ -592,7 +578,7 @@ def _integrate(
 ) -> None:
     """Run the scheme from the interpolants of the ``initial`` (E, H) fields,
     calling ``observe(state)`` at level 0 and after every step."""
-    n_steps = _step_count(t_final, tau)
+    n_steps = _step_count(t_final, tau, ("final time", "tau"))
     memory = fit_exp_sum(generate_weights(scheme, params.alpha, params.beta, tau, n_steps))
     e0, h0 = interpolate_E(mesh, initial[0], 0.0), interpolate_H(mesh, initial[1], 0.0)
     state = init_state(mesh, params, memory, e0, h0, sources)
@@ -672,7 +658,7 @@ def run_convergence(
     taus = sorted(float(t) for t in tau_list)[::-1]
     _check_halving(taus)
     for tau in taus:
-        _step_count(t_final, tau)
+        _step_count(t_final, tau, ("final time", "tau"))
     if mode not in ("vs_exact", "vs_reference"):
         raise ValueError(f"mode must be 'vs_exact' or 'vs_reference', got {mode!r}")
     if mode == "vs_exact" and tau_ref is not None:
@@ -686,12 +672,7 @@ def run_convergence(
     if mode == "vs_reference":
         if tau_ref is None:
             tau_ref = min(taus) / 8.0
-        if not tau_ref > 0.0:
-            raise ValueError(f"tau_ref={tau_ref} must be positive")
-        stride = min(taus) / tau_ref
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-            raise ValueError(f"tau_ref={tau_ref} must divide the smallest tau={min(taus)}")
-        stride = round(stride)
+        stride = _step_count(min(taus), tau_ref, ("smallest tau", "tau_ref"))
         # modal (e, h, p) reference snapshots at multiples of the smallest tau
         reference = {}
 
@@ -739,13 +720,16 @@ def run_convergence(
     )
 
 
-def _step_count(t_final: float, tau: float) -> int:
-    for name, value in (("tau", tau), ("final time", t_final)):
+def _step_count(span: float, tau: float, names: tuple[str, str]) -> int:
+    """The number of steps ``tau`` in ``span``, which must be positive, finite
+    and whole; a refusal calls the two by ``names`` = (span name, step name)."""
+    span_name, tau_name = names
+    for name, value in ((tau_name, tau), (span_name, span)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    n = t_final / tau
+    n = span / tau
     if not n < math.inf or abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise ValueError(f"final time {t_final} must be an integer multiple of tau={tau}")
+        raise ValueError(f"{span_name} {span} must be an integer multiple of {tau_name}={tau}")
     return round(n)
 
 

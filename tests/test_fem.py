@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hnmaxwell.fem import (
+    MaxwellMesh,
     assemble,
     assemble_cell_load,
     assemble_edge_load,
-    build_mesh,
     interpolate_E,
     interpolate_H,
     l2_error,
@@ -69,36 +69,36 @@ def dofs_as_closure(mesh, dofs):
 
 class TestMeshCounts:
     def test_unit_mesh_fully_constrained(self):
-        mesh = build_mesh(1, 1)
+        mesh = MaxwellMesh(1, 1)
         assert mesh.n_edges == 4
         assert mesh.n_cells == 1
         assert mesh.free_edges.size == 0
         assert mesh.boundary_edges.size == 4
 
     def test_two_by_one(self):
-        mesh = build_mesh(2, 1)
+        mesh = MaxwellMesh(2, 1)
         assert mesh.n_edges == 2 * 2 + 3 * 1 == 7
         assert mesh.n_cells == 2
 
     def test_large_counts(self):
-        mesh = build_mesh(100, 100)
+        mesh = MaxwellMesh(100, 100)
         assert mesh.n_edges == 20200
         assert mesh.n_cells == 10000
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            build_mesh(0, 3)
+            MaxwellMesh(0, 3)
 
 
 class TestAssembly:
     def test_mass_matrix_matches_quadrature_oracle(self):
-        mesh = build_mesh(2, 2)
+        mesh = MaxwellMesh(2, 2)
         ops = assemble(mesh)
         oracle = mass_matrix_by_quadrature(mesh)
         assert np.max(np.abs(ops.m_e_full - oracle)) < 1e-14
 
     def test_curl_of_gradient_vanishes_exactly(self):
-        ops = assemble(build_mesh(5, 4))
+        ops = assemble(MaxwellMesh(5, 4))
         # products rounded one by one, as in a sparse product (no fused multiply-add)
         cg = (ops.c_full[:, :, None] * ops.grad_full).sum(axis=1)
         assert np.max(np.abs(cg)) == 0.0
@@ -106,19 +106,19 @@ class TestAssembly:
     def test_mass_positive_definite(self):
         rng = np.random.default_rng(11)
         for n in (4, 16, 32):
-            mesh = build_mesh(n, n)
+            mesh = MaxwellMesh(n, n)
             m_e = assemble(mesh).m_e_full[mesh.free_edges][:, mesh.free_edges]
             for _ in range(5):
                 x = rng.normal(size=m_e.shape[0])
                 assert x @ (m_e @ x) > 0.0
 
     def test_mass_symmetric(self):
-        mesh = build_mesh(8, 8)
+        mesh = MaxwellMesh(8, 8)
         m_e = assemble(mesh).m_e_full[mesh.free_edges][:, mesh.free_edges]
         assert np.max(np.abs(m_e - m_e.T)) < 1e-15
 
     def test_curl_row_is_circulation(self):
-        mesh = build_mesh(3, 2)
+        mesh = MaxwellMesh(3, 2)
         ops = assemble(mesh)
         rng = np.random.default_rng(5)
         e = rng.normal(size=mesh.n_edges)
@@ -130,13 +130,13 @@ class TestAssembly:
         assert np.allclose(ops.c_full @ e, circ, rtol=1e-14, atol=1e-16)
 
     def test_constant_fields_in_curl_kernel(self):
-        mesh = build_mesh(6, 5)
+        mesh = MaxwellMesh(6, 5)
         ops = assemble(mesh)
         e = interpolate_E(mesh, lambda x, y, t: (3.0 + 0.0 * x, -2.0 + 0.0 * y), 0.0)
         assert np.max(np.abs(ops.c_full @ e)) == 0.0
 
     def test_cell_mass_diagonal(self):
-        mesh = build_mesh(4, 7)
+        mesh = MaxwellMesh(4, 7)
         ops = assemble(mesh)
         assert np.allclose(ops.m_h_diag, mesh.hx * mesh.hy)
 
@@ -145,7 +145,7 @@ class TestModalNorms:
     @pytest.mark.parametrize("nx,ny", [(32, 32), (5, 7), (1, 4), (4, 1)])
     def test_parseval_norms_match_mass_matrices(self, nx, ny):
         # squared norms of modal fields equal e^T M_E e and h^T M_H h of their dofs
-        mesh = build_mesh(nx, ny)
+        mesh = MaxwellMesh(nx, ny)
         ops, modes = assemble(mesh), mesh.modes
         rng = np.random.default_rng(nx * 100 + ny)
         for _ in range(3):
@@ -159,13 +159,13 @@ class TestModalNorms:
 
 class TestInterpolation:
     def test_zero_field(self):
-        mesh = build_mesh(3, 3)
+        mesh = MaxwellMesh(3, 3)
         dofs = interpolate_E(mesh, lambda x, y, t: (0.0 * x, 0.0 * y), 0.0)
         assert np.array_equal(dofs, np.zeros(mesh.n_edges))
 
     def test_gradient_commutes(self):
         # interpolant of grad(xy) equals G applied to the nodal values of xy
-        mesh = build_mesh(4, 3)
+        mesh = MaxwellMesh(4, 3)
         ops = assemble(mesh)
         ix, iy = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny + 1), indexing="xy")
         nodal = np.zeros(mesh.n_nodes)
@@ -177,7 +177,7 @@ class TestInterpolation:
         assert np.allclose(via_grad, direct, atol=1e-14)
 
     def test_interpolate_H_center_values(self):
-        mesh = build_mesh(2, 2)
+        mesh = MaxwellMesh(2, 2)
         h = interpolate_H(mesh, lambda x, y, t: x + 10.0 * y, 0.0)
         assert h[0] == pytest.approx(0.25 + 2.5)
         assert h[3] == pytest.approx(0.75 + 7.5)
@@ -185,25 +185,25 @@ class TestInterpolation:
 
 class TestL2Error:
     def test_zero_against_zero(self):
-        mesh = build_mesh(3, 3)
+        mesh = MaxwellMesh(3, 3)
         assert l2_error(mesh, np.zeros(mesh.n_edges), lambda x, y, t: (0 * x, 0 * y), 0.0, "edge") == 0.0
 
     def test_constant_cell_field_reproduced(self):
-        mesh = build_mesh(5, 5)
+        mesh = MaxwellMesh(5, 5)
         h = interpolate_H(mesh, lambda x, y, t: 2.5 + 0.0 * x, 0.0)
         assert l2_error(mesh, h, lambda x, y, t: 2.5 + 0.0 * x, 0.0, "cell") < 1e-14
 
     def test_interpolation_first_order(self):
         errs = []
         for n in (8, 16, 32):
-            mesh = build_mesh(n, n)
+            mesh = MaxwellMesh(n, n)
             dofs = interpolate_E(mesh, exact_E, 1.0)
             errs.append(l2_error(mesh, dofs, exact_E, 1.0, "edge"))
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(2.0, abs=0.25)
 
     def test_unknown_kind(self):
-        mesh = build_mesh(2, 2)
+        mesh = MaxwellMesh(2, 2)
         with pytest.raises(ValueError):
             l2_error(mesh, np.zeros(mesh.n_cells), lambda x, y, t: 0 * x, 0.0, "node")
 
@@ -211,7 +211,7 @@ class TestL2Error:
 class TestLoads:
     def test_edge_load_consistent_with_mass(self):
         # for f in the discrete space, (f, phi_i) must equal (M e)_i exactly
-        mesh = build_mesh(4, 5)
+        mesh = MaxwellMesh(4, 5)
         ops = assemble(mesh)
         rng = np.random.default_rng(2)
         e = rng.normal(size=mesh.n_edges)
@@ -219,7 +219,7 @@ class TestLoads:
         assert np.allclose(load, ops.m_e_full @ e, atol=1e-14)
 
     def test_cell_load_consistent_with_mass(self):
-        mesh = build_mesh(6, 3)
+        mesh = MaxwellMesh(6, 3)
         ops = assemble(mesh)
         rng = np.random.default_rng(8)
         h = rng.normal(size=mesh.n_cells)

@@ -13,7 +13,7 @@ from hnmaxwell.monotonicity import (
     indicator_rho,
     sweep_grid,
 )
-from hnmaxwell.quadrature import bdf_cq_weights, cm2_weights
+from hnmaxwell.quadrature import cm2_weights, generate_weights
 
 # 50-digit Miller-recurrence oracle: (I-S)^3 w_0 for cm2(0.5, 0.5, 0.01, N=10)
 THIRD_DIFF_AT_0 = 0.127994375142175736
@@ -76,7 +76,7 @@ def test_cm2_indices_nonnegative():
 
 
 def test_bdf2_indices_negative():
-    w = bdf_cq_weights(2, 0.9, 0.9, 0.01, 1000).weights
+    w = generate_weights("bdf2", 0.9, 0.9, 0.01, 1000).weights
     assert any(index_k(w, k, 1000) < 0.0 for k in (1, 2, 3))
 
 
@@ -93,6 +93,12 @@ def test_default_grid():
     for step in (0.0, 1.0):
         with pytest.raises(ValueError, match="grid step"):
             default_grid(step)
+
+
+@pytest.mark.parametrize("step, size", [(0.3, 3), (0.4, 2), (0.07, 14), (0.9, 1), (1 / 3, 2)])
+def test_default_grid_keeps_every_point_below_one(step, size):
+    # the last point, e.g. 0.9 for step 0.3, is below 1 although the step does not divide 1
+    assert default_grid(step) == pytest.approx(step * np.arange(1, size + 1))
 
 
 def test_sweep_single_point_matches_direct():
@@ -140,6 +146,22 @@ def test_bdf1_full_grid_monotone():
     rows = sweep_grid("bdf1", grid, grid, 0.01, 1000, 3)
     worst = min(float(indices.min()) for _, _, indices in rows)
     assert worst >= -1e-13
+
+
+def test_refused_tau_starts_no_pool(monkeypatch):
+    # the first cell is made before the pool starts, so generate_weights refuses
+    # tau = 0 there; a valid tau shows that the pool branch is taken
+    class NoPool:
+        def __init__(self, max_workers):
+            raise RuntimeError("process pool constructed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(monotonicity.os, "cpu_count", lambda: 4)
+    grid = [0.3, 0.5]
+    with pytest.raises(RuntimeError, match="process pool constructed"):
+        sweep_grid("cm2", grid, grid, 0.01, 20, 2, threads=2)
+    with pytest.raises(ValueError, match="tau"):
+        sweep_grid("cm2", grid, grid, 0.0, 20, 2, threads=2)
 
 
 def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):

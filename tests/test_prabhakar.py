@@ -18,7 +18,6 @@ from hnmaxwell.prabhakar import (
     SeriesConvergenceError,
     hn_kernel,
     ml3,
-    prabhakar_e,
     prabhakar_integral_monomial,
 )
 
@@ -146,9 +145,6 @@ class TestHnKernel:
             hn_kernel(0.5, 0.5, -1.0)
         with pytest.raises(ValueError):
             hn_kernel(1.5, 0.5, 1.0)
-        for t in (0.0, -1.0):
-            with pytest.raises(ValueError, match="t must be positive"):
-                prabhakar_e(PrabhakarParams(0.5, 0.25, 0.5), t)
 
 
 class TestPrabhakarIntegralMonomial:

@@ -17,11 +17,10 @@ from hnmaxwell.quadrature import (
     FIT_TARGET,
     FIT_TOL,
     SCHEMES,
-    CM2Constants,
     CQWeights,
     NotCompletelyMonotoneError,
+    _cm2_constants,
     _nnls,
-    bdf_cq_weights,
     cm2_weights,
     delta_consistency_residual,
     fit_exp_sum,
@@ -120,16 +119,14 @@ def _fft(x, twiddle):
 class TestConstants:
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.95])
     def test_identities(self, alpha):
-        k = CM2Constants.from_alpha(alpha)
-        assert k.gamma0 + k.gamma1 == pytest.approx(-1.0, abs=1e-14)
-        # c*(1 - d*z) == -gamma1*z - gamma0 as polynomials
-        assert k.c == pytest.approx(-k.gamma0, rel=1e-15)
-        assert k.c * k.d == pytest.approx(k.gamma1, rel=1e-14)
-        assert k.gamma1 >= 0.0 and k.c > 0.0 and 0.0 < k.d < 1.0
+        c, d = _cm2_constants(alpha)
+        # c*(1 - d*z) == -gamma1*z - gamma0 with gamma0 + gamma1 = -1: the factor is 1 at z = 1
+        assert c * (1.0 - d) == pytest.approx(1.0, abs=1e-14)
+        assert c > 0.0 and 0.0 < d < 1.0
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
-            CM2Constants.from_alpha(1.0)
+            _cm2_constants(1.0)
 
 
 class TestCm2Weights:
@@ -177,16 +174,16 @@ class TestCm2Weights:
 class TestBdfWeights:
     def test_geometric_series(self):
         # order 1, alpha = beta = 1, tau = 1: coefficients of (2 - z)^{-1}
-        w = bdf_cq_weights(1, 1.0, 1.0, 1.0, 2).weights
+        w = generate_weights("bdf1", 1.0, 1.0, 1.0, 2).weights
         assert np.allclose(w, [0.5, 0.25, 0.125], rtol=1e-15)
 
     def test_single_weight(self):
-        w = bdf_cq_weights(1, 0.4, 0.8, 0.2, 0).weights
+        w = generate_weights("bdf1", 0.4, 0.8, 0.2, 0).weights
         assert w[0] == pytest.approx((1.0 + 0.2**-0.4) ** (-0.8), rel=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_cauchy_oracle(self, order):
-        mine = bdf_cq_weights(order, 0.7, 0.4, 0.05, 128).weights
+        mine = generate_weights(f"bdf{order}", 0.7, 0.4, 0.05, 128).weights
         oracle = cauchy_coefficient_oracle_bdf(order, 0.7, 0.4, 0.05, 128)
         assert np.max(np.abs(mine - oracle)) < 1e-10
 
@@ -196,7 +193,7 @@ class TestBdfWeights:
         # weight within 1e-13 relative; the polynomial route delta_2^alpha by a
         # second recurrence was off by 2.2e-13 at alpha = 0.95
         tau, n = 2.0**-10, 400
-        mine = bdf_cq_weights(2, alpha, beta, tau, n).weights
+        mine = generate_weights("bdf2", alpha, beta, tau, n).weights
         oracle = bdf2_recurrence_oracle(alpha, beta, tau, n)
         assert np.max(np.abs(mine / oracle - 1.0)) < 1e-13
 
@@ -207,12 +204,12 @@ class TestBdfWeights:
         delta[0], delta[1] = 1.0 / tau, -1.0 / tau
         delta[0] += 1.0
         plain = series_pow(delta, -beta)
-        w = bdf_cq_weights(1, 1.0, beta, tau, n).weights
+        w = generate_weights("bdf1", 1.0, beta, tau, n).weights
         assert np.allclose(w, plain, rtol=1e-13)
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            bdf_cq_weights(3, 0.5, 0.5, 0.1, 4)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            generate_weights("bdf3", 0.5, 0.5, 0.1, 4)
 
 
 class TestSchemeDispatch:
@@ -327,7 +324,7 @@ class TestExpSumFit:
     @example(beta=1.0, tau=0.1, n=64)
     @example(beta=0.05, tau=0.5, n=1024)
     def test_bdf1_alpha_one(self, beta, tau, n):
-        self._check(bdf_cq_weights(1, 1.0, beta, tau, n))
+        self._check(generate_weights("bdf1", 1.0, beta, tau, n))
 
     def test_fit_stops_at_the_target(self):
         # the reference table of the convergence study: the fit that runs to
@@ -341,17 +338,17 @@ class TestExpSumFit:
 
     def test_bdf1_debye_is_one_exponential(self):
         # alpha = beta = 1: w_j = tau/(1+tau) * (1+tau)^-j exactly
-        fit = self._check(bdf_cq_weights(1, 1.0, 1.0, 0.1, 10))
+        fit = self._check(generate_weights("bdf1", 1.0, 1.0, 0.1, 10))
         assert fit.rates.size == 1
         assert fit.rates[0] == pytest.approx(1.0 / 1.1, rel=1e-15)
         assert fit.coeffs[0] == pytest.approx(0.1 / 1.1, rel=1e-14)
 
     def test_bdf2_fits_where_completely_monotone(self):
-        self._check(bdf_cq_weights(2, 0.5, 0.5, 0.1, 10))
+        self._check(generate_weights("bdf2", 0.5, 0.5, 0.1, 10))
 
     def test_non_cm_table_refused(self):
         with pytest.raises(NotCompletelyMonotoneError) as info:
-            fit_exp_sum(bdf_cq_weights(2, 0.9, 0.9, 0.1, 10))
+            fit_exp_sum(generate_weights("bdf2", 0.9, 0.9, 0.1, 10))
         message = str(info.value)
         for part in ("bdf2", "alpha=0.9", "beta=0.9", "tau=0.1", "N=10"):
             assert part in message
@@ -361,7 +358,7 @@ class TestExpSumFit:
 
     def test_nonpositive_weight_refused(self):
         # bdf2 weights change sign at coarse steps near alpha = 1
-        w = bdf_cq_weights(2, 0.95, 0.95, 2.0, 20)
+        w = generate_weights("bdf2", 0.95, 0.95, 2.0, 20)
         assert (w.weights <= 0.0).any()
         with pytest.raises(NotCompletelyMonotoneError, match="not positive"):
             fit_exp_sum(w)
@@ -374,7 +371,7 @@ def test_nnls_kkt(m, n, seed):
     # a^T (b - a x) vanishes on the support and is <= 0 off it
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(m, n)), rng.normal(size=m)
-    x = _nnls(a, b)
+    x = _nnls(a, b, 0.0)
     grad = a.T @ (b - a @ x)
     scale = np.linalg.norm(a) * np.linalg.norm(b)
     assert (x >= 0.0).all()

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from hnmaxwell import fem, stepper
 from hnmaxwell.fem import (
+    MaxwellMesh,
     assemble,
     assemble_cell_load,
     assemble_edge_load,
-    build_mesh,
     interpolate_E,
     interpolate_H,
 )
@@ -30,7 +30,6 @@ from hnmaxwell.stepper import (
     StepOperator,
     decay_initial_E,
     decay_initial_H,
-    energy,
     energy_components,
     exact_E,
     exact_H,
@@ -71,7 +70,7 @@ def reduced_matrices(ops, params, tau, w0):
 class TestStepOperator:
     @pytest.mark.parametrize("nx,ny", [(32, 32), (5, 7), (1, 4), (4, 1), (1, 1)])
     def test_modal_solves_match_sparse_matrices(self, nx, ny):
-        mesh = build_mesh(nx, ny)
+        mesh = MaxwellMesh(nx, ny)
         ops = assemble(mesh)
         params = default_params(eps_inf=1.5, delta_eps=2.0)
         op = StepOperator(mesh, params, 0.05, 0.3)
@@ -89,12 +88,12 @@ class TestStepOperator:
 
     def test_empty_interior_mesh(self):
         # 1x1 mesh: every edge dof constrained, modal E is all padding
-        op = StepOperator(build_mesh(1, 1), default_params(), 0.1, 0.5)
+        op = StepOperator(MaxwellMesh(1, 1), default_params(), 0.1, 0.5)
         assert np.array_equal(op.solve(np.zeros((2, 1, 1))), np.zeros((2, 1, 1)))
 
     def test_positive_leading_weight_required(self):
         with pytest.raises(ValueError):
-            StepOperator(build_mesh(2, 2), default_params(), 0.1, 0.0)
+            StepOperator(MaxwellMesh(2, 2), default_params(), 0.1, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -111,7 +110,7 @@ def test_params_refuse_nonphysical_medium(field, value):
 
 class TestStepBasics:
     def test_zero_data_stays_zero(self):
-        mesh = build_mesh(4, 4)
+        mesh = MaxwellMesh(4, 4)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.1, 5)
         state = init_state(mesh, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells))
@@ -122,7 +121,7 @@ class TestStepBasics:
         assert np.array_equal(state.fields.p, np.zeros(mesh.n_edges))
 
     def test_one_by_one_mesh_runs(self):
-        mesh = build_mesh(1, 1)
+        mesh = MaxwellMesh(1, 1)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.25, 4)
         state = init_state(mesh, params, w, np.zeros(4), np.ones(1))
@@ -132,7 +131,7 @@ class TestStepBasics:
         assert np.allclose(state.fields.h, 1.0)
 
     def test_capacity_guard(self):
-        mesh = build_mesh(2, 2)
+        mesh = MaxwellMesh(2, 2)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.5, 2)
         state = init_state(mesh, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells))
@@ -142,7 +141,7 @@ class TestStepBasics:
             step(state)
 
     def test_boundary_dofs_stay_zero(self):
-        mesh = build_mesh(6, 6)
+        mesh = MaxwellMesh(6, 6)
         params = default_params(alpha=0.3, beta=0.9)
         w = cm2_memory(0.3, 0.9, 0.1, 10)
         e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
@@ -153,7 +152,7 @@ class TestStepBasics:
             assert np.array_equal(state.fields.p[mesh.boundary_edges], np.zeros(24))
 
     def test_linearity(self):
-        mesh = build_mesh(8, 8)
+        mesh = MaxwellMesh(8, 8)
         params = default_params(alpha=0.7, beta=0.4)
         e0 = interpolate_E(mesh, decay_initial_E)
         h0 = interpolate_H(mesh, decay_initial_H)
@@ -171,14 +170,14 @@ class TestStepBasics:
 
 class TestEnergy:
     def test_zero_fields_zero_energy(self):
-        mesh = build_mesh(3, 3)
+        mesh = MaxwellMesh(3, 3)
         params = default_params()
         w = cm2_memory(0.5, 0.5, 0.1, 2)
         state = init_state(mesh, params, w, np.zeros(mesh.n_edges), np.zeros(mesh.n_cells))
-        assert energy(state) == 0.0
+        assert sum(energy_components(state)) == 0.0
 
     def test_level_zero_formula(self):
-        mesh = build_mesh(6, 6)
+        mesh = MaxwellMesh(6, 6)
         ops = assemble(mesh)
         params = default_params(eps_inf=1.5, delta_eps=2.0)
         w = cm2_memory(0.5, 0.5, 0.1, 3)
@@ -190,10 +189,10 @@ class TestEnergy:
         ee = e0c @ (ops.m_e_full @ e0c)
         hh = h0 @ (ops.m_h_diag * h0)
         expected = 1.5 * ee + hh + 2.0 * w.w0 * ee
-        assert energy(state) == pytest.approx(expected, rel=1e-14)
+        assert sum(energy_components(state)) == pytest.approx(expected, rel=1e-14)
 
     def test_decay_zero_sources(self):
-        mesh = build_mesh(16, 16)
+        mesh = MaxwellMesh(16, 16)
         for alpha, beta in [(0.3, 0.6), (0.7, 1.0)]:
             params = default_params(alpha=alpha, beta=beta)
             tr = run_energy(mesh, params, tau=0.05, t_final=1.0)
@@ -218,16 +217,16 @@ class TestEnergy:
     @example(nx=1, ny=2, tau=1.0, alpha=0.5, beta=1.0, seed=0)  # the known rise, found first
     def test_decay_random_data(self, nx, ny, tau, alpha, beta, seed):
         # zero sources: no rise beyond roundoff for any step size and initial fields
-        mesh = build_mesh(nx, ny)
+        mesh = MaxwellMesh(nx, ny)
         params = default_params(alpha=alpha, beta=beta)
         n_steps = 8
         w = cm2_memory(alpha, beta, tau, n_steps)
         rng = np.random.default_rng(seed)
         e0, h0 = rng.normal(size=mesh.n_edges), rng.normal(size=mesh.n_cells)
         state = init_state(mesh, params, w, e0, h0)
-        totals = [energy(state)]
+        totals = [sum(energy_components(state))]
         for _ in range(n_steps):
-            totals.append(energy(step(state)))
+            totals.append(sum(energy_components(step(state))))
         assert (np.diff(totals) <= 1e-10 * totals[0]).all()
 
     @pytest.mark.xfail(
@@ -236,18 +235,18 @@ class TestEnergy:
         "tau = 2, +1.4% of E^0 at step 4",
     )
     def test_decay_standing_data_large_tau(self):
-        tr = run_energy(build_mesh(8, 8), default_params(), tau=2.0, t_final=16.0)
+        tr = run_energy(MaxwellMesh(8, 8), default_params(), tau=2.0, t_final=16.0)
         assert (np.diff(tr.total) <= 1e-10 * tr.total[0]).all()
 
     def test_crank_nicolson_conservation(self):
         # delta_eps = 0 removes dispersion; midpoint scheme conserves energy
-        mesh = build_mesh(8, 8)
+        mesh = MaxwellMesh(8, 8)
         params = default_params(delta_eps=0.0)
         tr = run_energy(mesh, params, tau=0.02, t_final=1.0)
         assert np.max(np.abs(tr.total - tr.total[0])) <= 1e-12 * tr.total[0]
 
     def test_history_recomputation_matches(self):
-        mesh = build_mesh(6, 6)
+        mesh = MaxwellMesh(6, 6)
         ops = assemble(mesh)
         params = default_params(alpha=0.4, beta=0.8)
         n_steps = 12
@@ -373,7 +372,7 @@ def assert_matches_dense_history(mesh, params, memory, inspect=lambda state: Non
             step(state)
         for got, want in ((state.fields.e, e), (state.fields.h, h), (state.fields.p, p)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert energy(state) == pytest.approx(total, rel=1e-12)
+        assert sum(energy_components(state)) == pytest.approx(total, rel=1e-12)
         inspect(state)
     assert state.n == memory.order
 
@@ -384,7 +383,7 @@ class TestDenseHistoryOracle:
         params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=alpha, beta=beta)
         n_steps = 200
         memory = cm2_memory(alpha, beta, 1.0 / n_steps, n_steps)
-        assert_matches_dense_history(build_mesh(8, 8), params, memory)
+        assert_matches_dense_history(MaxwellMesh(8, 8), params, memory)
 
     @pytest.mark.parametrize(
         "n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10], ids=lambda n: f"{n}steps"
@@ -396,7 +395,7 @@ class TestDenseHistoryOracle:
         memory = cm2_memory(0.3, 0.8, 0.1, n_steps)
         starts = []
         assert_matches_dense_history(
-            build_mesh(5, 7), params, memory, lambda state: starts.append(state.block_start)
+            MaxwellMesh(5, 7), params, memory, lambda state: starts.append(state.block_start)
         )
         assert starts == [n - (n + 1) % BLOCK for n in range(n_steps + 1)]
 
@@ -404,7 +403,7 @@ class TestDenseHistoryOracle:
         # the step that closes a block folds L x dofs accumulators; at 32x32
         # with a tau = 1/64 fit that is L > BLOCK rows, and the step allocates
         # less than one copy of them
-        mesh = build_mesh(32, 32)
+        mesh = MaxwellMesh(32, 32)
         memory = cm2_memory(0.5, 0.5, 1 / 64, 64)
         assert memory.rates.size > BLOCK
         e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
@@ -437,11 +436,11 @@ class TestDenseHistoryOracle:
             for buffer in (state.acc_e, state.near, state.far, *vars(state.tables).values()):
                 assert not ((buffer != 0.0) & (np.abs(buffer) < np.finfo(float).tiny)).any()
 
-        assert_matches_dense_history(build_mesh(6, 6), params, memory, no_subnormals)
+        assert_matches_dense_history(MaxwellMesh(6, 6), params, memory, no_subnormals)
 
     @pytest.mark.parametrize("nx,ny", [(8, 8), (5, 7), (1, 4), (3, 1)])
     def test_trajectory_matches_sparse_reference(self, nx, ny):
-        mesh = build_mesh(nx, ny)
+        mesh = MaxwellMesh(nx, ny)
         ops = assemble(mesh)
         params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8)
         n_steps = 40
@@ -462,7 +461,7 @@ class TestDenseHistoryOracle:
 
     def test_zero_g3_needs_no_mass_solve(self, monkeypatch):
         # zero sources: P comes from the accumulators alone
-        mesh = build_mesh(4, 4)
+        mesh = MaxwellMesh(4, 4)
         memory = cm2_memory(0.5, 0.5, 0.1, 4)
         monkeypatch.setattr(StepOperator, "solve_mass", lambda self, rhs: pytest.fail("mass solve"))
         e0, h0 = interpolate_E(mesh, decay_initial_E), interpolate_H(mesh, decay_initial_H)
@@ -476,7 +475,7 @@ class TestSourceEvaluation:
     @pytest.mark.parametrize("which", ["g1", "g2", "g3"])
     def test_each_source_evaluated_once_per_level(self, which):
         # n steps visit n + 1 levels; each needs its source at t_n exactly once
-        mesh = build_mesh(4, 3)
+        mesh = MaxwellMesh(4, 3)
         calls = []
 
         def factor(t):
@@ -500,7 +499,7 @@ class TestSourceEvaluation:
 
         for module in (fem, stepper):
             monkeypatch.setattr(module, "assemble", fail, raising=False)
-        mesh = build_mesh(4, 4)
+        mesh = MaxwellMesh(4, 4)
         trace = run_energy(mesh, default_params(), tau=0.25, t_final=1.0)
         assert trace.total.size == 5
         for mode in ("vs_exact", "vs_reference"):
@@ -545,7 +544,7 @@ class TestManufacturedSources:
         assert gy[0] == pytest.approx(py[0] + 3 * x[0] ** 2 * (y[0] ** 3 + 1), rel=1e-14)
 
     def test_assembled_loads_match_pointwise_sum(self):
-        mesh = build_mesh(7, 5)
+        mesh = MaxwellMesh(7, 5)
         src = manufactured_sources(default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8))
         loads = src.assemble(mesh)
         modes = mesh.modes
@@ -566,7 +565,7 @@ class TestSchemeConsistency:
 
     @staticmethod
     def _residuals(n_cells, n_steps):
-        mesh = build_mesh(n_cells, n_cells)
+        mesh = MaxwellMesh(n_cells, n_cells)
         ops = assemble(mesh)
         params = default_params()
         tau = 1.0 / n_steps
@@ -619,7 +618,7 @@ class TestSchemeConsistency:
 
 class TestConvergence:
     def test_vs_reference_second_order(self):
-        mesh = build_mesh(16, 16)
+        mesh = MaxwellMesh(16, 16)
         report = run_convergence(
             mesh, default_params(), (1 / 10, 1 / 20, 1 / 40), mode="vs_reference", tau_ref=1 / 320
         )
@@ -628,14 +627,14 @@ class TestConvergence:
         assert (np.diff(report.err_e) < 0).all()
 
     def test_vs_exact_errors_finite_and_bounded(self):
-        mesh = build_mesh(16, 16)
+        mesh = MaxwellMesh(16, 16)
         report = run_convergence(mesh, default_params(), (1 / 5, 1 / 10), mode="vs_exact")
         assert (report.err_e > 0).all() and (report.err_e < 0.1).all()
         assert (report.err_h > 0).all() and (report.err_h < 0.1).all()
         assert (report.err_p > 0).all() and (report.err_p < 0.1).all()
 
     def test_tau_list_validation(self):
-        mesh = build_mesh(4, 4)
+        mesh = MaxwellMesh(4, 4)
         with pytest.raises(ValueError):
             run_convergence(mesh, default_params(), (1 / 10, 1 / 30))
         with pytest.raises(ValueError, match="at least one step size"):
@@ -657,7 +656,7 @@ class TestConvergence:
         calls = []
         monkeypatch.setattr(stepper, "step", lambda state: calls.append(state.n))
         with pytest.raises(ValueError, match="multiple of tau=0.5"):
-            run_convergence(build_mesh(2, 2), default_params(), (0.5, 0.25), t_final=0.75)
+            run_convergence(MaxwellMesh(2, 2), default_params(), (0.5, 0.25), t_final=0.75)
         assert calls == []
 
     def test_observed_rates(self):
@@ -672,7 +671,7 @@ class TestConvergence:
             observed_rates([(0.1, 1e-2), (0.05, 0.0)])
 
     def test_step_count_validation(self):
-        mesh = build_mesh(4, 4)
+        mesh = MaxwellMesh(4, 4)
         with pytest.raises(ValueError):
             run_energy(mesh, default_params(), tau=0.3, t_final=1.0)
         with pytest.raises(ValueError, match="tau must be positive and finite"):
