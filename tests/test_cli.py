@@ -267,6 +267,10 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
     pytest.param(KERNEL + ["--tmin", "0"], id="tmin-0"),
     pytest.param(KERNEL + ["--tmin", "2", "--tmax", "2"], id="tmin-equals-tmax"),
     pytest.param(ENERGY_2X2 + ["--tau", "0"], id="tau-0"),
+    # whole step counts that no array can hold
+    pytest.param(ENERGY_2X2 + ["--tau", "1e-300", "--T", "1"], id="step-count-above-intp"),
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "1e-300"],
+                 id="tau-ref-step-count-above-intp"),
     # non-finite numbers, scalar or list element
     pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--T", "inf"], id="T-inf"),
     pytest.param(ENERGY_2X2 + ["--tau", "0.25", "--eps-inf", "nan"], id="eps-inf-nan"),

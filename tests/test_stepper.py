@@ -77,11 +77,13 @@ class TestStepOperator:
         step_matrix, m_e = reduced_matrices(ops, params, 0.05, 0.3)
         free, modes = mesh.free_edges, mesh.modes
         rng = np.random.default_rng(nx * 100 + ny)
-        for solve, matrix in ((op.solve, step_matrix), (op.solve_mass, m_e)):
+        # a load enters the step basis by the mass solve; op.solve inverts tau times the step matrix
+        step_solve = lambda load: op.solve(op.solve_mass(load))
+        for solve, matrix in ((step_solve, 0.05 * step_matrix), (op.solve_mass, m_e)):
             for _ in range(3):
                 b = np.zeros(mesh.n_edges)
                 b[free] = rng.normal(size=free.size)
-                x = modes.modes_to_edges(solve(modes.edges_to_modes(b)))
+                x = modes.modes_to_edges(op.to_modes(solve(modes.edges_to_modes(b))))
                 assert np.array_equal(x[mesh.boundary_edges], np.zeros(mesh.boundary_edges.size))
                 residual = np.linalg.norm(matrix @ x[free] - b[free])
                 assert residual <= 1e-12 * np.linalg.norm(b[free])
@@ -94,6 +96,46 @@ class TestStepOperator:
     def test_positive_leading_weight_required(self):
         with pytest.raises(ValueError):
             StepOperator(MaxwellMesh(2, 2), default_params(), 0.1, 0.0)
+
+
+class TestStepBasis:
+    MESHES = [(32, 32), (5, 7), (1, 4), (4, 1), (1, 1)]
+
+    @pytest.mark.parametrize("nx,ny", MESHES)
+    def test_basis_is_mass_orthonormal_and_diagonalizes_the_curl(self, nx, ny):
+        # sum of squared basis coordinates = e^T M_E e, and C e = sigma q
+        mesh = MaxwellMesh(nx, ny)
+        ops, modes = assemble(mesh), mesh.modes
+        op = StepOperator(mesh, default_params(), 0.05, 0.3)
+        rng = np.random.default_rng(nx * 100 + ny)
+        for _ in range(3):
+            e = np.zeros(mesh.n_edges)
+            e[mesh.free_edges] = rng.normal(size=mesh.free_edges.size)
+            x = op.to_basis(modes.edges_to_modes(e))
+            assert np.vdot(x, x) == pytest.approx(e @ (ops.m_e_full @ e), rel=1e-13)
+            curl = modes.cells_to_modes(ops.c_full @ e)
+            assert np.linalg.norm(op.sigma * x[0] - curl) <= 1e-13 * np.linalg.norm(curl)
+            assert np.array_equal(modes.modes_to_edges(op.to_modes(x))[mesh.boundary_edges],
+                                  np.zeros(mesh.boundary_edges.size))
+            assert np.allclose(modes.modes_to_edges(op.to_modes(x)), e, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("nx,ny", MESHES)
+    def test_padding_slots_stay_zero_in_sourced_run(self, nx, ny):
+        # modal E_x at k_y = 0 and E_y at k_x = 0 are no sine modes: E and P
+        # mapped back from the step basis keep them exactly 0
+        mesh = MaxwellMesh(nx, ny)
+        params = default_params(eps_inf=1.5, delta_eps=2.0, alpha=0.3, beta=0.8)
+        memory = cm2_memory(0.3, 0.8, 0.1, 10)
+        sources = manufactured_sources(params).assemble(mesh)
+        e0, h0 = interpolate_E(mesh, exact_E, 0.5), interpolate_H(mesh, exact_H, 0.0)
+        state = init_state(mesh, params, memory, e0, h0, sources)
+        for level in range(11):
+            if level > 0:
+                step(state)
+            for field in (state.e, state.p):
+                modal = state.operator.to_modes(field)
+                assert np.array_equal(modal[0, 0], np.zeros(nx))
+                assert np.array_equal(modal[1, :, 0], np.zeros(ny))
 
 
 @pytest.mark.parametrize(
@@ -270,11 +312,12 @@ class TestEnergy:
         assert term_hist == pytest.approx(params.delta_eps * hist, rel=1e-12)
 
 
-def dense_history_run(mesh, params, memory, operator, sources, e0, h0):
+def dense_history_run(mesh, params, memory, sources, e0, h0):
     """The dense-history stepper on the materialized weights w_hat, in the
     mesh's eigenbasis: every level stores modal M_E e^k and ||E^k||^2, the step
-    convolves the whole stored history, and P is recovered by a mass solve.
-    Yields (e, h, p, energy) per level, fields as dof vectors."""
+    convolves the whole stored history and solves the 2x2 system of each H
+    mode, and P is recovered by a mass division.  Yields (e, h, p, energy) per
+    level, fields as dof vectors."""
     modes = mesh.modes
     w = memory.weights()
     tau, n_steps = memory.tau, memory.order
@@ -282,14 +325,23 @@ def dense_history_run(mesh, params, memory, operator, sources, e0, h0):
     norm_sq = np.zeros(n_steps + 1)
     e, h = modes.edges_to_modes(e0), modes.cells_to_modes(h0)
     curl = lambda e: (modes.curl * e).sum(axis=0)
+    # per H mode: ((eps_inf + delta_eps w0)/tau) diag(mass) + (tau / (4 area)) c c^T
+    c = np.moveaxis(modes.curl, 0, -1)
+    blocks = (0.25 * tau / modes.area) * c[..., :, None] * c[..., None, :]
+    blocks += ((params.eps_inf + params.delta_eps * w[0]) / tau) * (
+        np.moveaxis(modes.mass, 0, -1)[..., None] * np.eye(2)
+    )
+    solve = lambda rhs: np.moveaxis(
+        np.linalg.solve(blocks, np.moveaxis(rhs, 0, -1)[..., None])[..., 0], -1, 0
+    )
 
     def close(n):
         me_hist[n] = modes.mass * e
         norm_sq[n] = np.vdot(e, me_hist[n])
-        p = operator.solve_mass(
+        p = (
             params.delta_eps * np.tensordot(w[n::-1], me_hist[: n + 1], axes=1)
             + sources.g3(n * tau)
-        )
+        ) / modes.mass
         total = (
             params.eps_inf * norm_sq[n]
             + modes.area * np.vdot(h, h)
@@ -307,7 +359,7 @@ def dense_history_run(mesh, params, memory, operator, sources, e0, h0):
         rhs += modes.curl * (h - 0.25 * tau * curl(e) / modes.area + 0.5 * tau * b2 / modes.area)
         rhs += 0.5 * (sources.g1(t_m) + sources.g1(t_prev))
         rhs -= (sources.g3(t_m) - sources.g3(t_prev)) / tau
-        e_new = operator.solve(rhs)
+        e_new = solve(rhs)
         h = h - 0.5 * tau * curl(e_new + e) / modes.area + tau * b2 / modes.area
         e = e_new
         yield close(m)
@@ -361,12 +413,11 @@ def assert_matches_dense_history(mesh, params, memory, inspect=lambda state: Non
     (read at every level, so also inside open memory blocks) and the energy
     with the dense-history oracle, each within 1e-12 relative; calls
     ``inspect(state)`` at every level."""
-    op = StepOperator(mesh, params, memory.tau, memory.w0)
     sources = manufactured_sources(params).assemble(mesh)
     e0, h0 = interpolate_E(mesh, exact_E, 0.0), interpolate_H(mesh, exact_H, 0.0)
     state = init_state(mesh, params, memory, e0, h0, sources)
     for level, (e, h, p, total) in enumerate(
-        dense_history_run(mesh, params, memory, op, sources, e0, h0)
+        dense_history_run(mesh, params, memory, sources, e0, h0)
     ):
         if level > 0:
             step(state)
@@ -680,3 +731,10 @@ class TestConvergence:
             run_energy(mesh, default_params(), tau=0.25, t_final=math.inf)
         with pytest.raises(ValueError, match="integer multiple"):  # T / tau overflows
             run_energy(mesh, default_params(), tau=1e-300, t_final=1e300)
+        # whole step counts that no array can hold
+        with pytest.raises(ValueError, match="step count 1e\\+300 of final time 1.0"):
+            run_energy(mesh, default_params(), tau=1e-300, t_final=1.0)
+        with pytest.raises(ValueError, match="step count 1.25e\\+299 of smallest tau 0.125"):
+            run_convergence(mesh, default_params(), (0.25, 0.125), tau_ref=1e-300)
+        # a long but holdable reference run stays allowed
+        assert stepper._step_count(0.125, 1e-7, ("smallest tau", "tau_ref")) == 1_250_000
