@@ -9,14 +9,16 @@ value at the edge midpoint.  On a cell the x-component is constant in x and
 a linear hat in y (and symmetrically for the y-component).  The magnetic
 field H is piecewise constant, one dof per cell.
 
-Enumeration is deterministic and x-fastest: horizontal edges first
-(ix + iy*nx, iy = 0..ny), then vertical edges (ix + iy*(nx+1), iy = 0..ny-1)
-after an offset of nx*(ny+1).  Cells and nodes are likewise row-major.
+An edge-dof vector is two x-fastest grids, rows y and columns x (the one
+definition of the layout is :func:`_edge_grids`): E_x on the (ny+1, nx)
+horizontal edges, then E_y on the (ny, nx+1) vertical edges.  Cell (iy, ix)
+has bottom and top edges E_x[iy, ix] and E_x[iy+1, ix], left and right edges
+E_y[iy, ix] and E_y[iy, ix+1].  Cells, (ny, nx), and nodes, (ny+1, nx+1),
+are likewise row-major, and fields are evaluated on such (rows, cols) grids.
 
 The perfect-conductor condition (vanishing tangential trace) constrains the
-horizontal edges on y in {0,1} and the vertical edges on x in {0,1}; those
-rows/columns are eliminated symmetrically, keeping the reduced edge mass
-matrix symmetric positive definite.
+first and last rows of E_x and the first and last columns of E_y
+(``MaxwellMesh.boundary_edges``); those dofs stay exactly zero.
 
 On this uniform grid both mass matrices and the curl are diagonal in a
 sine/cosine basis, :attr:`MaxwellMesh.modes`, in which the stepper runs;
@@ -79,10 +81,6 @@ class MaxwellMesh:
         return 1.0 / self.ny
 
     @property
-    def n_horizontal(self) -> int:
-        return self.nx * (self.ny + 1)
-
-    @property
     def n_edges(self) -> int:
         return self.nx * (self.ny + 1) + (self.nx + 1) * self.ny
 
@@ -94,65 +92,26 @@ class MaxwellMesh:
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
 
-    def horizontal_edge(self, ix, iy):
-        return iy * self.nx + ix
-
-    def vertical_edge(self, ix, iy):
-        return self.n_horizontal + iy * (self.nx + 1) + ix
-
-    def node(self, ix, iy):
-        return iy * (self.nx + 1) + ix
-
     @cached_property
     def cell_edges(self) -> dict[str, np.ndarray]:
         """Bottom/top/left/right edge index per cell, row-major over cells."""
-        ix, iy = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="xy")
-        ix, iy = ix.ravel(), iy.ravel()
+        e_x, e_y = _edge_grids(self, np.arange(self.n_edges))
         return {
-            "bottom": self.horizontal_edge(ix, iy),
-            "top": self.horizontal_edge(ix, iy + 1),
-            "left": self.vertical_edge(ix, iy),
-            "right": self.vertical_edge(ix + 1, iy),
+            "bottom": e_x[:-1].ravel(),
+            "top": e_x[1:].ravel(),
+            "left": e_y[:, :-1].ravel(),
+            "right": e_y[:, 1:].ravel(),
         }
-
-    @cached_property
-    def cell_origin(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower-left corner coordinates of every cell."""
-        ix, iy = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="xy")
-        return ix.ravel() * self.hx, iy.ravel() * self.hy
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
         """Edges with constrained (tangential) dofs, sorted."""
-        idx = []
-        ix = np.arange(self.nx)
-        idx.append(self.horizontal_edge(ix, 0))
-        idx.append(self.horizontal_edge(ix, self.ny))
-        iy = np.arange(self.ny)
-        idx.append(self.vertical_edge(0, iy))
-        idx.append(self.vertical_edge(self.nx, iy))
-        return np.unique(np.concatenate(idx))
+        e_x, e_y = _edge_grids(self, np.arange(self.n_edges))
+        return np.unique(np.concatenate([e_x[[0, -1]].ravel(), e_y[:, [0, -1]].ravel()]))
 
     @cached_property
     def free_edges(self) -> np.ndarray:
-        mask = np.ones(self.n_edges, dtype=bool)
-        mask[self.boundary_edges] = False
-        return np.flatnonzero(mask)
-
-    @cached_property
-    def edge_midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint coordinates of every edge, horizontal block first."""
-        x = np.empty(self.n_edges)
-        y = np.empty(self.n_edges)
-        ix, iy = np.meshgrid(np.arange(self.nx), np.arange(self.ny + 1), indexing="xy")
-        h = self.horizontal_edge(ix.ravel(), iy.ravel())
-        x[h] = (ix.ravel() + 0.5) * self.hx
-        y[h] = iy.ravel() * self.hy
-        ix, iy = np.meshgrid(np.arange(self.nx + 1), np.arange(self.ny), indexing="xy")
-        v = self.vertical_edge(ix.ravel(), iy.ravel())
-        x[v] = ix.ravel() * self.hx
-        y[v] = (iy.ravel() + 0.5) * self.hy
-        return x, y
+        return np.setdiff1d(np.arange(self.n_edges), self.boundary_edges)
 
     @cached_property
     def modes(self) -> "MeshModes":
@@ -165,6 +124,7 @@ class MaxwellMesh:
         curl_x = np.broadcast_to(-2.0 * self.hx * np.sin(0.5 * np.pi * ky / ny), (ny, nx))
         curl_y = np.broadcast_to(2.0 * self.hy * np.sin(0.5 * np.pi * kx / nx), (ny, nx))
         return MeshModes(
+            mesh=self,
             dct_x=_dct2(nx),
             dct_y=_dct2(ny),
             dst_x=_dst1(nx),
@@ -173,6 +133,18 @@ class MaxwellMesh:
             curl=np.stack([curl_x, curl_y]),
             area=area,
         )
+
+
+def _edge_grids(mesh: MaxwellMesh, dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge-dof vector as views of its two grids: E_x, (ny+1, nx), on the
+    horizontal edges, then E_y, (ny, nx+1), on the vertical edges."""
+    split = mesh.nx * (mesh.ny + 1)
+    return dofs[:split].reshape(mesh.ny + 1, mesh.nx), dofs[split:].reshape(mesh.ny, mesh.nx + 1)
+
+
+def _cell_corners(mesh: MaxwellMesh) -> list[np.ndarray]:
+    """x and y of every cell's lower-left corner, as (ny, nx) grids."""
+    return np.meshgrid(np.arange(mesh.nx) * mesh.hx, np.arange(mesh.ny) * mesh.hy)
 
 
 def _dct2(n: int) -> np.ndarray:
@@ -210,6 +182,7 @@ class MeshModes:
         curl  = -2 hx sin(pi k_y / 2 ny)  (E_x),   +2 hy sin(pi k_x / 2 nx)  (E_y).
     """
 
+    mesh: MaxwellMesh
     dct_x: np.ndarray
     dct_y: np.ndarray
     dst_x: np.ndarray
@@ -220,29 +193,24 @@ class MeshModes:
 
     def edges_to_modes(self, e: np.ndarray) -> np.ndarray:
         """Modal E of an edge-dof vector (constrained entries are dropped)."""
-        ny, nx = self.mass.shape[1:]
-        n_horizontal = nx * (ny + 1)
-        e_x = e[:n_horizontal].reshape(ny + 1, nx)
-        e_y = e[n_horizontal:].reshape(ny, nx + 1)
+        e_x, e_y = _edge_grids(self.mesh, e)
         return np.stack([self.dst_y @ e_x @ self.dct_x.T, self.dct_y @ e_y @ self.dst_x.T])
 
     def modes_to_edges(self, e_hat: np.ndarray) -> np.ndarray:
         """Edge-dof vector of modal E, exactly zero on constrained edges."""
-        e_x = self.dst_y.T @ e_hat[0] @ self.dct_x
-        e_y = self.dct_y.T @ e_hat[1] @ self.dst_x
-        return np.concatenate([e_x.ravel(), e_y.ravel()])
+        e = np.empty(self.mesh.n_edges)
+        e_x, e_y = _edge_grids(self.mesh, e)
+        e_x[...] = self.dst_y.T @ e_hat[0] @ self.dct_x
+        e_y[...] = self.dct_y.T @ e_hat[1] @ self.dst_x
+        return e
 
     def cells_to_modes(self, h: np.ndarray) -> np.ndarray:
         """Modal H of a cell-dof vector."""
-        return self.dct_y @ h.reshape(self.mass.shape[1:]) @ self.dct_x.T
+        return self.dct_y @ h.reshape(self.mesh.ny, self.mesh.nx) @ self.dct_x.T
 
     def modes_to_cells(self, h_hat: np.ndarray) -> np.ndarray:
         """Cell-dof vector of modal H."""
         return (self.dct_y.T @ h_hat @ self.dct_x).ravel()
-
-    def edge_norm_sq(self, e_hat: np.ndarray) -> float:
-        """Squared L2 norm of modal E (Parseval: e^T M_E e of its edge dofs)."""
-        return float(np.vdot(e_hat, self.mass * e_hat))
 
     def cell_norm_sq(self, h_hat: np.ndarray) -> float:
         """Squared L2 norm of modal H."""
@@ -298,17 +266,13 @@ def assemble(mesh: MaxwellMesh) -> AssembledOperators:
         np.add.at(c_full, (cells, edges), value)
 
     # Node-to-edge gradient: tangential slope along each edge.
+    e_x, e_y = _edge_grids(mesh, np.arange(mesh.n_edges))
+    nodes = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
     grad_full = np.zeros((mesh.n_edges, mesh.n_nodes))
-    ix, iy = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1), indexing="xy")
-    ix, iy = ix.ravel(), iy.ravel()
-    edges = mesh.horizontal_edge(ix, iy)
-    np.add.at(grad_full, (edges, mesh.node(ix + 1, iy)), 1.0 / mesh.hx)
-    np.add.at(grad_full, (edges, mesh.node(ix, iy)), -1.0 / mesh.hx)
-    ix, iy = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny), indexing="xy")
-    ix, iy = ix.ravel(), iy.ravel()
-    edges = mesh.vertical_edge(ix, iy)
-    np.add.at(grad_full, (edges, mesh.node(ix, iy + 1)), 1.0 / mesh.hy)
-    np.add.at(grad_full, (edges, mesh.node(ix, iy)), -1.0 / mesh.hy)
+    grad_full[e_x, nodes[:, 1:]] = 1.0 / mesh.hx
+    grad_full[e_x, nodes[:, :-1]] = -1.0 / mesh.hx
+    grad_full[e_y, nodes[1:]] = 1.0 / mesh.hy
+    grad_full[e_y, nodes[:-1]] = -1.0 / mesh.hy
 
     return AssembledOperators(
         mesh=mesh,
@@ -321,44 +285,31 @@ def assemble(mesh: MaxwellMesh) -> AssembledOperators:
 
 def interpolate_E(mesh: MaxwellMesh, field: VectorField, t: float = 0.0) -> np.ndarray:
     """Edge interpolant: tangential component of the field at edge midpoints."""
-    x, y = mesh.edge_midpoints
-    fx, fy = field(x, y, t)
     dofs = np.empty(mesh.n_edges)
-    nh = mesh.n_horizontal
-    dofs[:nh] = np.broadcast_to(fx, (mesh.n_edges,))[:nh]
-    dofs[nh:] = np.broadcast_to(fy, (mesh.n_edges,))[nh:]
+    e_x, e_y = _edge_grids(mesh, dofs)
+    x_node, y_node = np.arange(mesh.nx + 1) * mesh.hx, np.arange(mesh.ny + 1) * mesh.hy
+    x_mid, y_mid = (np.arange(mesh.nx) + 0.5) * mesh.hx, (np.arange(mesh.ny) + 0.5) * mesh.hy
+    e_x[...] = field(*np.meshgrid(x_mid, y_node), t)[0]
+    e_y[...] = field(*np.meshgrid(x_node, y_mid), t)[1]
     return dofs
 
 
 def interpolate_H(mesh: MaxwellMesh, field: ScalarField, t: float = 0.0) -> np.ndarray:
     """Cell interpolant: field value at cell centers."""
-    x0, y0 = mesh.cell_origin
+    x0, y0 = _cell_corners(mesh)
     vals = field(x0 + 0.5 * mesh.hx, y0 + 0.5 * mesh.hy, t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (mesh.n_cells,)).copy()
+    return np.broadcast_to(np.asarray(vals, dtype=float), x0.shape).flatten()
 
 
 def _gauss_points(mesh: MaxwellMesh):
-    """Yield (x, y, xhat, yhat, weight) per Gauss point; x, y span all cells."""
-    x0, y0 = mesh.cell_origin
+    """Yield (x, y, xhat, yhat, weight) per Gauss point; x, y are (ny, nx) cell grids."""
+    x0, y0 = _cell_corners(mesh)
     for p in range(3):
         xhat = 0.5 * (_GAUSS_X[p] + 1.0)
         for q in range(3):
             yhat = 0.5 * (_GAUSS_X[q] + 1.0)
-            yield (
-                x0 + xhat * mesh.hx,
-                y0 + yhat * mesh.hy,
-                xhat,
-                yhat,
-                _GAUSS_W[p] * _GAUSS_W[q],
-            )
-
-
-def _edge_values_at(mesh: MaxwellMesh, dofs: np.ndarray, xhat: float, yhat: float):
-    """Per-cell (E1, E2) of an edge-dof field at a fixed reference point."""
-    ce = mesh.cell_edges
-    e1 = dofs[ce["bottom"]] * (1.0 - yhat) + dofs[ce["top"]] * yhat
-    e2 = dofs[ce["left"]] * (1.0 - xhat) + dofs[ce["right"]] * xhat
-    return e1, e2
+            w = _GAUSS_W[p] * _GAUSS_W[q]
+            yield x0 + xhat * mesh.hx, y0 + yhat * mesh.hy, xhat, yhat, w
 
 
 def l2_error(
@@ -373,15 +324,18 @@ def l2_error(
     ``kind`` selects the space: "edge" for E/P vector fields, "cell" for H.
     """
     jac = 0.25 * mesh.hx * mesh.hy
-    acc = np.zeros(mesh.n_cells)
+    acc = np.zeros((mesh.ny, mesh.nx))
     if kind == "edge":
+        e_x, e_y = _edge_grids(mesh, dofs)
         for x, y, xhat, yhat, w in _gauss_points(mesh):
             ex, ey = exact(x, y, t)
-            d1, d2 = _edge_values_at(mesh, dofs, xhat, yhat)
+            d1 = e_x[:-1] * (1.0 - yhat) + e_x[1:] * yhat
+            d2 = e_y[:, :-1] * (1.0 - xhat) + e_y[:, 1:] * xhat
             acc += w * ((ex - d1) ** 2 + (ey - d2) ** 2)
     elif kind == "cell":
+        h = dofs.reshape(acc.shape)
         for x, y, _, _, w in _gauss_points(mesh):
-            acc += w * (exact(x, y, t) - dofs) ** 2
+            acc += w * (exact(x, y, t) - h) ** 2
     else:
         raise ValueError(f"kind must be 'edge' or 'cell', got {kind!r}")
     return float(np.sqrt(jac * acc.sum()))
@@ -389,24 +343,22 @@ def l2_error(
 
 def assemble_edge_load(mesh: MaxwellMesh, field: VectorField, t: float) -> np.ndarray:
     """Load vector (f, phi_i) against every edge basis function."""
-    ce = mesh.cell_edges
     jac = 0.25 * mesh.hx * mesh.hy
     load = np.zeros(mesh.n_edges)
+    l_x, l_y = _edge_grids(mesh, load)
     for x, y, xhat, yhat, w in _gauss_points(mesh):
         fx, fy = field(x, y, t)
-        fx = np.broadcast_to(fx, (mesh.n_cells,))
-        fy = np.broadcast_to(fy, (mesh.n_cells,))
-        np.add.at(load, ce["bottom"], jac * w * fx * (1.0 - yhat))
-        np.add.at(load, ce["top"], jac * w * fx * yhat)
-        np.add.at(load, ce["left"], jac * w * fy * (1.0 - xhat))
-        np.add.at(load, ce["right"], jac * w * fy * xhat)
+        l_x[:-1] += jac * w * fx * (1.0 - yhat)
+        l_x[1:] += jac * w * fx * yhat
+        l_y[:, :-1] += jac * w * fy * (1.0 - xhat)
+        l_y[:, 1:] += jac * w * fy * xhat
     return load
 
 
 def assemble_cell_load(mesh: MaxwellMesh, field: ScalarField, t: float) -> np.ndarray:
     """Load vector (f, psi_K) against the piecewise-constant cell basis."""
     jac = 0.25 * mesh.hx * mesh.hy
-    load = np.zeros(mesh.n_cells)
+    load = np.zeros((mesh.ny, mesh.nx))
     for x, y, _, _, w in _gauss_points(mesh):
-        load += jac * w * np.broadcast_to(field(x, y, t), (mesh.n_cells,))
-    return load
+        load += jac * w * field(x, y, t)
+    return load.ravel()

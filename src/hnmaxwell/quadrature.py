@@ -194,7 +194,12 @@ def generate_weights(scheme: str, alpha: float, beta: float, tau: float, n: int)
     check_orders(alpha, beta)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    s, d, e = _symbol(scheme, alpha, tau)
+    try:
+        s, d, e = _symbol(scheme, alpha, tau)
+    except OverflowError:  # tau ** (-alpha) of a subnormal tau
+        s = math.inf
+    if not math.isfinite(s):
+        raise ValueError(f"{scheme} symbol scale at alpha={alpha}, tau={tau} overflows a float")
     b = s * series_mul(binom_series(alpha, 1.0, n), binom_series(e, d, n))
     b[0] += 1.0
     return CQWeights(scheme=scheme, alpha=alpha, beta=beta, tau=tau, weights=series_pow(b, -beta))

@@ -664,8 +664,8 @@ def observed_rates(errors: Sequence[tuple[float, float]]) -> list[float]:
     taus = [tau for tau, _ in errors]
     errs = [err for _, err in errors]
     _check_halving(taus)
-    if any(e <= 0.0 for e in errs):
-        raise ValueError("errors must be positive to form rates")
+    if not all(0.0 < e < math.inf for e in errs):
+        raise ValueError("errors must be positive and finite to form rates")
     return [math.log2(errs[i - 1] / errs[i]) for i in range(1, len(errs))]
 
 

@@ -280,6 +280,20 @@ WEIGHTS = ["weights", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.1"]
     pytest.param(CONVERGENCE_2X2 + ["--tau", "0.25,0.125", "--tau-ref", "inf"], id="tau-ref-inf"),
     pytest.param(["cm-check", "--alpha", "0.5", "--beta", "0.5", "--tau", "0.01", "--J", "20",
                   "--tolerance", "nan"], id="tolerance-nan"),
+    # a step so small that the scheme's symbol scale overflows a float
+    pytest.param(["weights", "--scheme", "cm2", "--alpha", "0.999", "--beta", "0.5", "--tau",
+                  "5e-324", "--J", "3"], id="weights-cm2-symbol-overflow"),
+    pytest.param(["weights", "--scheme", "bdf1", "--alpha", "1", "--beta", "0.5", "--tau",
+                  "5e-324", "--J", "3"], id="weights-bdf1-symbol-overflow"),
+    pytest.param(["weights", "--scheme", "bdf2", "--alpha", "0.5", "--beta", "0.5", "--tau",
+                  "5e-324", "--J", "3"], id="weights-bdf2-symbol-inf"),
+    pytest.param(["cm-check", "--alpha", "0.999", "--beta", "0.5", "--tau", "5e-324", "--J", "3"],
+                 id="cm-check-symbol-overflow"),
+    pytest.param(["energy", "--alpha", "0.999", "--beta", "0.5", "--tau", "5e-324", "--T",
+                  "2.5e-323", "--nx", "2", "--ny", "2"], id="energy-symbol-overflow"),
+    # errors that overflow to inf form no rates
+    pytest.param(CONVERGENCE_2X2 + ["--tau", "0.5,0.25", "--delta-eps", "1e300"],
+                 id="convergence-errors-inf"),
     # a value its option's parser rejects
     pytest.param(WEIGHTS + ["--J", "ten"], id="J-not-an-integer"),
     # a list where one value is needed, and no worker

@@ -7,6 +7,7 @@ import pytest
 
 from hnmaxwell.fem import (
     MaxwellMesh,
+    _edge_grids,
     assemble,
     assemble_cell_load,
     assemble_edge_load,
@@ -50,21 +51,29 @@ def mass_matrix_by_quadrature(mesh):
 
 def dofs_as_closure(mesh, dofs):
     """Evaluate the discrete edge field at arbitrary interior points."""
+    e_x, e_y = _edge_grids(mesh, dofs)
 
     def field(x, y, t):
         ix = np.clip(np.floor(np.asarray(x) / mesh.hx).astype(int), 0, mesh.nx - 1)
         iy = np.clip(np.floor(np.asarray(y) / mesh.hy).astype(int), 0, mesh.ny - 1)
         xh = np.asarray(x) / mesh.hx - ix
         yh = np.asarray(y) / mesh.hy - iy
-        e1 = dofs[mesh.horizontal_edge(ix, iy)] * (1.0 - yh) + dofs[
-            mesh.horizontal_edge(ix, iy + 1)
-        ] * yh
-        e2 = dofs[mesh.vertical_edge(ix, iy)] * (1.0 - xh) + dofs[
-            mesh.vertical_edge(ix + 1, iy)
-        ] * xh
+        e1 = e_x[iy, ix] * (1.0 - yh) + e_x[iy + 1, ix] * yh
+        e2 = e_y[iy, ix] * (1.0 - xh) + e_y[iy, ix + 1] * xh
         return e1, e2
 
     return field
+
+
+LAYOUT_MESHES = [(1, 1), (1, 4), (4, 1), (3, 2), (5, 7)]
+
+
+def horizontal_dof(mesh, ix, iy):
+    return iy * mesh.nx + ix
+
+
+def vertical_dof(mesh, ix, iy):
+    return mesh.nx * (mesh.ny + 1) + iy * (mesh.nx + 1) + ix
 
 
 class TestMeshCounts:
@@ -88,6 +97,42 @@ class TestMeshCounts:
     def test_invalid(self):
         with pytest.raises(ValueError):
             MaxwellMesh(0, 3)
+
+
+class TestEdgeLayout:
+    """The flat edge numbering, written out: horizontal edge (ix, iy) is
+    iy nx + ix, vertical edge (ix, iy) is nx (ny+1) + iy (nx+1) + ix."""
+
+    @pytest.mark.parametrize("nx,ny", LAYOUT_MESHES)
+    def test_index_tables_follow_the_flat_numbering(self, nx, ny):
+        mesh = MaxwellMesh(nx, ny)
+        cells = [(ix, iy) for iy in range(ny) for ix in range(nx)]
+        ce = mesh.cell_edges
+        assert ce["bottom"].tolist() == [horizontal_dof(mesh, ix, iy) for ix, iy in cells]
+        assert ce["top"].tolist() == [horizontal_dof(mesh, ix, iy + 1) for ix, iy in cells]
+        assert ce["left"].tolist() == [vertical_dof(mesh, ix, iy) for ix, iy in cells]
+        assert ce["right"].tolist() == [vertical_dof(mesh, ix + 1, iy) for ix, iy in cells]
+        boundary = {horizontal_dof(mesh, ix, iy) for ix in range(nx) for iy in (0, ny)}
+        boundary |= {vertical_dof(mesh, ix, iy) for ix in (0, nx) for iy in range(ny)}
+        assert mesh.boundary_edges.tolist() == sorted(boundary)
+        assert mesh.free_edges.tolist() == sorted(set(range(mesh.n_edges)) - boundary)
+
+    @pytest.mark.parametrize("nx,ny", LAYOUT_MESHES)
+    def test_interpolant_puts_each_midpoint_value_on_its_dof(self, nx, ny):
+        mesh = MaxwellMesh(nx, ny)
+
+        def field(x, y, t):
+            return 1.0 + 2.0 * x + 3.0 * y, -5.0 + 7.0 * x - 11.0 * y
+
+        hx, hy = mesh.hx, mesh.hy
+        want = np.full(mesh.n_edges, np.nan)
+        for iy in range(ny + 1):
+            for ix in range(nx):
+                want[horizontal_dof(mesh, ix, iy)] = field((ix + 0.5) * hx, iy * hy, 0.0)[0]
+        for iy in range(ny):
+            for ix in range(nx + 1):
+                want[vertical_dof(mesh, ix, iy)] = field(ix * hx, (iy + 0.5) * hy, 0.0)[1]
+        assert np.array_equal(interpolate_E(mesh, field), want)
 
 
 class TestAssembly:
@@ -144,16 +189,14 @@ class TestAssembly:
 class TestModalNorms:
     @pytest.mark.parametrize("nx,ny", [(32, 32), (5, 7), (1, 4), (4, 1)])
     def test_parseval_norms_match_mass_matrices(self, nx, ny):
-        # squared norms of modal fields equal e^T M_E e and h^T M_H h of their dofs
+        # squared norms of modal H equal h^T M_H h of its dofs (the E side is
+        # checked in the step basis, tests/test_stepper.py::TestStepBasis)
         mesh = MaxwellMesh(nx, ny)
         ops, modes = assemble(mesh), mesh.modes
         rng = np.random.default_rng(nx * 100 + ny)
         for _ in range(3):
-            e = np.zeros(mesh.n_edges)
-            e[mesh.free_edges] = rng.normal(size=mesh.free_edges.size)
             h = rng.normal(size=mesh.n_cells)
-            want_e, want_h = e @ (ops.m_e_full @ e), h @ (ops.m_h_diag * h)
-            assert modes.edge_norm_sq(modes.edges_to_modes(e)) == pytest.approx(want_e, rel=1e-13)
+            want_h = h @ (ops.m_h_diag * h)
             assert modes.cell_norm_sq(modes.cells_to_modes(h)) == pytest.approx(want_h, rel=1e-13)
 
 
@@ -167,11 +210,8 @@ class TestInterpolation:
         # interpolant of grad(xy) equals G applied to the nodal values of xy
         mesh = MaxwellMesh(4, 3)
         ops = assemble(mesh)
-        ix, iy = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny + 1), indexing="xy")
-        nodal = np.zeros(mesh.n_nodes)
-        nodal[mesh.node(ix.ravel(), iy.ravel())] = (
-            ix.ravel() * mesh.hx * iy.ravel() * mesh.hy
-        )
+        ix, iy = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny + 1))
+        nodal = (ix * mesh.hx * iy * mesh.hy).ravel()  # nodes are row-major
         via_grad = ops.grad_full @ nodal
         direct = interpolate_E(mesh, lambda x, y, t: (y, x), 0.0)
         assert np.allclose(via_grad, direct, atol=1e-14)

@@ -227,6 +227,15 @@ class TestSchemeDispatch:
         with pytest.raises(ValueError, match="unknown scheme"):
             CQWeights("rk", 0.5, 0.5, 0.1, [1.0])
 
+    @pytest.mark.parametrize("scheme,alpha", [("cm2", 0.999), ("bdf1", 1.0), ("bdf2", 0.5)])
+    def test_step_whose_symbol_scale_overflows_is_refused(self, scheme, alpha):
+        # cm2 and bdf1 raise OverflowError in tau ** (-alpha); bdf2's (1.5 / tau) ** alpha is inf
+        with pytest.raises(ValueError, match=f"{scheme} symbol scale at alpha={alpha}, tau=5e-324"):
+            generate_weights(scheme, alpha, 0.5, 5e-324, 3)
+        # the smallest normal step still gives a finite table
+        smallest_normal = np.finfo(float).tiny
+        assert np.all(np.isfinite(generate_weights(scheme, alpha, 0.5, smallest_normal, 3).weights))
+
 
 class TestConsistencyResidual:
     def test_frozen_values(self):

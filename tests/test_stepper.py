@@ -718,8 +718,9 @@ class TestConvergence:
         assert [round(r, 2) for r in rates] == [1.99, 2.0]
         with pytest.raises(ValueError):
             observed_rates([(0.1, 1e-2), (0.03, 1e-3)])
-        with pytest.raises(ValueError):
-            observed_rates([(0.1, 1e-2), (0.05, 0.0)])
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                observed_rates([(0.1, 1e-2), (0.05, bad)])
 
     def test_step_count_validation(self):
         mesh = MaxwellMesh(4, 4)
