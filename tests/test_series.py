@@ -1,11 +1,14 @@
 """Truncated-series arithmetic against hand expansions, a long-division
 reciprocal oracle and the per-coefficient Miller recurrence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hnmaxwell import series
 from hnmaxwell.series import BLOCK, binom_series, series_mul, series_pow
 
 
@@ -70,6 +73,13 @@ BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]
 @example(shape="bdf2", alpha=0.95, tau=2.0**-10, gamma=-0.05, n=1100)
 @example(shape="cm2", alpha=0.999, tau=1e-3, gamma=-1.0, n=2 * BLOCK)
 @example(shape="bdf2", alpha=0.78, tau=2e-3, gamma=0.81, n=475)
+# gamma > 0 corners where the closed-form blocks alone miss the bound by up to
+# 3.7x; the residual correction brings them under it
+@example(shape="bdf2", alpha=0.999, tau=1e-3, gamma=0.9, n=1100)
+@example(shape="cm2", alpha=0.999, tau=3e-4, gamma=0.9, n=1100)
+@example(shape="bdf1", alpha=0.999, tau=1e-3, gamma=0.81, n=1000)
+# the worst gamma < 0 corner of a scan of the three symbols, 18 closed-form blocks
+@example(shape="bdf1", alpha=0.999, tau=1e-3, gamma=-0.05, n=1100)
 def test_pow_blocked_matches_rows(shape, alpha, tau, gamma, n):
     # the blocked solve reorders the sums only: agreement to roundoff of each row
     f = symbol_series(shape, alpha, tau, n)
@@ -79,7 +89,7 @@ def test_pow_blocked_matches_rows(shape, alpha, tau, gamma, n):
     assert (np.abs(got - want) <= 1e-13 * size).all()
 
 
-@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("n", BLOCK_EDGES + [1000, 1100])
 def test_pow_block_edges_relative(n):
     # cm2 weights: positive rows without cancellation, so plain relative agreement
     f = symbol_series("cm2", 0.5, 0.01, n)
@@ -186,6 +196,20 @@ def test_pow_round_trip(gamma):
         assert np.allclose(back, coeffs, rtol=1e-10, atol=1e-10)
 
 
+def test_pow_solves_two_heads_only(monkeypatch):
+    # one LU for the head of c^gamma, one for the head of c^(-gamma-1); the
+    # later blocks are closed-form, and the heads do not re-enter series_pow
+    solves, powers = [], []
+    solve, pow_ = np.linalg.solve, series.series_pow
+    monkeypatch.setattr(series.np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(series, "series_pow", lambda *a: powers.append(1) or pow_(*a))
+    for gamma in (-0.5, 0.5):
+        solves.clear()
+        powers.clear()
+        series.series_pow(symbol_series("cm2", 0.5, 0.01, 1000), gamma)
+        assert len(solves) <= 2 and len(powers) == 1
+
+
 def test_pow_requires_positive_constant_term():
     with pytest.raises(ValueError):
         series_pow(np.array([0.0, 1.0]), 0.5)
@@ -196,3 +220,33 @@ def test_pow_requires_positive_constant_term():
 def test_series_validation():
     with pytest.raises(ValueError):
         binom_series(1.0, 1.0, -1)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        pytest.param(lambda: binom_series(1.0, 1.0, 2.5), "truncation order", id="binom-fractional-order"),
+        pytest.param(lambda: binom_series(math.nan, 1.0, 3), "must be finite", id="binom-nan-exponent"),
+        pytest.param(lambda: binom_series(0.5, math.inf, 3), "must be finite", id="binom-inf-scale"),
+        pytest.param(lambda: series_mul(np.array([1.0, math.nan]), np.ones(2)), "non-finite", id="mul-nan"),
+        pytest.param(lambda: series_mul(np.ones((2, 2)), np.ones((2, 2))), "1-d", id="mul-2d"),
+        pytest.param(
+            lambda: series_pow(np.array([math.nan, 1.0, 2.0]), 0.5), "non-finite", id="pow-nan-coefficient"
+        ),
+        pytest.param(
+            lambda: series_pow(np.array([1.0, 1.0, 2.0]), math.nan), "exponent must be finite", id="pow-nan-exponent"
+        ),
+        pytest.param(lambda: series_pow(np.array([]), 0.5), "non-empty", id="pow-empty"),
+        pytest.param(lambda: series_pow(np.ones((2, 2)), 0.5), "1-d", id="pow-2d"),
+    ],
+)
+def test_series_builders_refuse_bad_input(build, message, monkeypatch):
+    # refused by the builder's own check, before any convolution or solve
+    def no_work(*args, **kwargs):
+        raise AssertionError("bad input reached the arithmetic")
+
+    monkeypatch.setattr(series.np, "convolve", no_work)
+    monkeypatch.setattr(series.np.linalg, "solve", no_work)
+    monkeypatch.setattr(series.np, "cumprod", no_work)
+    with pytest.raises(ValueError, match=message):
+        build()
