@@ -39,12 +39,24 @@ Beylkin & Monzon, ACHA 19 (2005) 17-48), and otherwise returns the best one.
 It refuses (:class:`NotCompletelyMonotoneError`) when that misses the table
 by more than ``FIT_TOL`` relative, which is what happens to tables that are
 not CM.
+
+The fit never forms its (N+1) x C matrix a_jl = r_l^j / w_j (C, about 200,
+candidate rates).  It generates ``_FIT_BLOCK`` rows of [a | 1] at a time
+and folds each block into the triangular factor [r | d] by one Householder
+QR of [r | d] stacked on the block (TSQR: Demmel, Grigori, Hoemmen &
+Langou, SIAM J. Sci. Comput. 34 (2012) A206-A239).  The solver scales the
+columns of r to unit norm afterwards (Householder QR commutes with column
+scaling, and the column norms of r are those of a) and draws single
+columns of a from a generator.  It keeps only its passive columns, L of
+them, and the fitted sum is evaluated block by block, so a fit holds
+O(_FIT_BLOCK * C + C^2 + N * L) floats, not O(N * C).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +90,9 @@ FIT_TARGET = 1e-10
 # singular rate (see _candidate_rates).
 _LOG_RATES = 140
 _CLUSTER_OFFSETS = 16
+# Rows of the fit matrix generated and folded into its triangular factor at a
+# time, and rows of a fitted sum evaluated at a time.
+_FIT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -114,6 +129,9 @@ class ExpSum:
     """Positive exponential sum w_hat_j = sum_l coeffs[l] * rates[l]**j that
     matches a weight table of step ``tau`` for j <= ``order`` to the relative
     ``miss``; every coefficient is positive and every rate lies in (0, 1).
+    Anything else, or a ``tau`` that is not finite and > 0, a ``miss`` that
+    is not finite and >= 0 or an ``order`` that is not an integer >= 0, is
+    refused with ValueError.
 
     :func:`fit_exp_sum` stops at ``FIT_TARGET``, so ``miss`` is mostly of
     that size rather than at rounding level; the sum is completely monotone
@@ -125,20 +143,48 @@ class ExpSum:
     rates: np.ndarray
     miss: float
 
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        rates = np.asarray(self.rates, dtype=float)
+        if not (coeffs.ndim == rates.ndim == 1 and 0 < coeffs.size == rates.size):
+            raise ValueError(
+                f"coeffs and rates must be non-empty 1-d arrays of equal length, "
+                f"got shapes {coeffs.shape} and {rates.shape}"
+            )
+        if not (np.isfinite(coeffs) & (coeffs > 0.0)).all():
+            raise ValueError(f"coeffs must be finite and positive, got {coeffs}")
+        if not ((rates > 0.0) & (rates < 1.0)).all():
+            raise ValueError(f"rates must lie in (0, 1), got {rates}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (isinstance(self.order, numbers.Integral) and self.order >= 0):
+            raise ValueError(f"order must be an integer >= 0, got {self.order!r}")
+        if not 0.0 <= self.miss < math.inf:
+            raise ValueError(f"miss must be finite and >= 0, got {self.miss}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rates", rates)
+
     @functools.cached_property  # read once per time level by the stepper
     def w0(self) -> float:
         return float(self.coeffs.sum())
 
     def weights(self) -> np.ndarray:
         """The materialized w_hat_0 .. w_hat_order."""
-        return _powers(self.rates, self.order) @ self.coeffs
+        return _sum_powers(self.coeffs, self.rates, self.order)
 
 
 def fit_exp_sum(w: CQWeights) -> ExpSum:
     """Nonnegative least-squares fit of the relative misfit w_hat_j / w_j - 1
     over fixed candidate rates, stopped at the first positive sum whose
     largest relative miss over j <= N is at most ``FIT_TARGET``; raises
-    NotCompletelyMonotoneError when the miss exceeds ``FIT_TOL``."""
+    NotCompletelyMonotoneError when the miss exceeds ``FIT_TOL``.
+
+    The fit matrix [a | b], a_jl = r_l^j / w_j and b = 1, is never formed:
+    ``_fit_factor`` folds it into its triangular factor ``_FIT_BLOCK`` rows
+    at a time, ``_nnls`` draws the single columns it needs from ``column``,
+    and the miss is taken from the sum evaluated block by block.  Besides the
+    table, a fit holds O(_FIT_BLOCK * C + C^2 + N * L) floats for C candidate
+    rates and L fitted ones."""
     table = w.weights
     label = f"{w.scheme} weights (alpha={w.alpha:g}, beta={w.beta:g}, tau={w.tau:g}, N={w.order})"
     if not (table > 0.0).all():
@@ -147,10 +193,15 @@ def fit_exp_sum(w: CQWeights) -> ExpSum:
             f"{label} are not completely monotone: w_{j} = {table[j]:.3e} is not positive"
         )
     rates = _candidate_rates(w.scheme, w.alpha, w.tau, w.order)
-    x = _nnls(_powers(rates, w.order) / table[:, None], np.ones(table.size), FIT_TARGET)
+    rows, log_rates = np.arange(table.size), np.log(rates)
+
+    def column(l: int) -> np.ndarray:  # column l of [a | b], as _powers makes it
+        return np.exp(rows * log_rates[l]) / table if l < rates.size else np.ones(table.size)
+
+    x = _nnls(_fit_factor(rates, table), column, FIT_TARGET)
     keep = x > 0.0
     coeffs, rates = x[keep], rates[keep]
-    miss = float(np.max(np.abs(_powers(rates, w.order) @ coeffs / table - 1.0)))
+    miss = float(np.max(np.abs(_sum_powers(coeffs, rates, w.order) / table - 1.0)))
     if not miss <= FIT_TOL:
         raise NotCompletelyMonotoneError(
             f"{label}: the best positive exponential sum misses them by {miss:.2e} relative, "
@@ -220,9 +271,37 @@ def delta_consistency_residual(alpha: float, tau: float) -> float:
 # --- exponential-sum fit ------------------------------------------------------
 
 
-def _powers(rates: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of rates[l] ** j, j = 0..n."""
-    return np.exp(np.outer(np.arange(n + 1), np.log(rates)))
+def _powers(rates: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Matrix of rates[l] ** j, j = start..stop-1."""
+    return np.exp(np.outer(np.arange(start, stop), np.log(rates)))
+
+
+def _sum_powers(coeffs: np.ndarray, rates: np.ndarray, n: int) -> np.ndarray:
+    """sum_l coeffs[l] * rates[l] ** j for j = 0..n, ``_FIT_BLOCK`` rows at a time."""
+    out = np.empty(n + 1)
+    for start in range(0, n + 1, _FIT_BLOCK):
+        stop = min(start + _FIT_BLOCK, n + 1)
+        out[start:stop] = _powers(rates, start, stop) @ coeffs
+    return out
+
+
+def _fit_factor(rates: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Triangular factor [r | d] of [a | b], a_jl = rates[l]**j / table[j] and
+    b = 1, folded from row blocks: each block of ``_FIT_BLOCK`` rows is
+    generated below the factor so far and the stack is reduced by one QR.
+    Holds O((_FIT_BLOCK + C) * C) floats for C rates, whatever the table
+    length."""
+    rd = np.empty((0, rates.size + 1))
+    for start in range(0, table.size, _FIT_BLOCK):
+        stop = min(start + _FIT_BLOCK, table.size)
+        stack = np.empty((rd.shape[0] + stop - start, rates.size + 1))
+        stack[: rd.shape[0]] = rd
+        block = stack[rd.shape[0] :]
+        block[:, :-1] = _powers(rates, start, stop)
+        block[:, :-1] /= table[start:stop, None]
+        block[:, -1] = 1.0
+        rd = np.linalg.qr(stack, mode="r")
+    return rd
 
 
 def _candidate_rates(scheme: str, alpha: float, tau: float, n: int) -> np.ndarray:
@@ -282,28 +361,37 @@ def _bisect(modulus, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _nnls(a: np.ndarray, b: np.ndarray, target: float) -> np.ndarray:
+def _nnls(rd: np.ndarray, column, target: float) -> np.ndarray:
     """The first positive passive solution x of the Lawson-Hanson active-set
     method for argmin ||a x - b|| over x >= 0 whose residual max |a x - b| is
     at most ``target``, else the minimizer itself (``target`` 0 asks for it).
 
-    The columns are scaled to unit norm and the problem is reduced to the
-    triangular factor [r | d] of [a | b].  The passive columns keep a full QR
-    factorization Q R that is updated in place, not recomputed, as columns
-    enter and leave (Golub & Van Loan, Matrix Computations, 4th ed., 6.5): an
-    entering column costs one Householder reflector on rows k: and a leaving
-    one a Givens rotation per later passive column.  Q is not stored: every
-    reflector and rotation is applied to the rows of [r | d] themselves, which
-    then hold Q^T r, with R in the passive columns, and Q^T d.  The gradient
-    is formed from the residual's component outside their span, rows k: of
-    Q^T d: with nearly dependent columns that keeps its relative accuracy,
-    where the plain residual d - R x would drown it in rounding.  Returns the
+    The problem comes as the triangular factor ``rd`` = [r | d] of [a | b]
+    (any number of rows; overwritten) and ``column(l)``, which returns column
+    l of [a | b] (l = n for b).  The columns of r are scaled to unit norm in
+    place: they have the norms of the columns of a, and Householder QR
+    commutes with column scaling, so r becomes the factor of a with unit
+    columns, the problem the method solves.  The passive columns keep a
+    full QR factorization Q R that is updated in place, not recomputed, as
+    columns enter and leave (Golub & Van Loan, Matrix Computations, 4th ed.,
+    6.5): an entering column costs one Householder reflector on rows k: and a
+    leaving one a Givens rotation per later passive column.  Q is not stored:
+    every reflector and rotation is applied to the rows of [r | d] themselves,
+    which then hold Q^T r, with R in the passive columns, and Q^T d.  The
+    gradient is formed from the residual's component outside their span, rows
+    k: of Q^T d: with nearly dependent columns that keeps its relative
+    accuracy, where the plain residual d - R x would drown it in rounding.
+    The stop test reads a x - b itself: the scaled passive columns of a are
+    kept in a list that grows and shrinks with the passive set, so the solver
+    holds O(n^2 + m k) floats for k passive columns of length m.  Returns the
     current feasible point after 10 n inner iterations.
     """
-    n = a.shape[1]
-    scale = np.linalg.norm(a, axis=0)
-    rd = np.linalg.qr(np.column_stack([a / scale, b]), mode="r")
+    n = rd.shape[1] - 1
     r, d = rd[:, :n], rd[:, n]
+    scale = np.linalg.norm(r, axis=0)
+    r /= scale
+    b = column(n)
+    passive_a: list[np.ndarray] = []  # the scaled columns of a, in passive order
     x = np.zeros(n)
     passive: list[int] = []
     iterations = 0
@@ -327,14 +415,14 @@ def _nnls(a: np.ndarray, b: np.ndarray, target: float) -> np.ndarray:
         rd[k:] -= np.einsum("i,j->ij", v, v @ rd[k:])
         rd[k, j], rd[k + 1 :, j] = alpha, 0.0
         passive.append(j)
+        passive_a.append(column(j) / scale[j])
         while iterations < 10 * n:  # move towards the passive solution until it is positive
             iterations += 1
             k, cols = len(passive), np.array(passive)
             s = np.linalg.solve(r[:k, cols], d[:k])  # upper triangular: LU does not pivot
             if s.min() > 0.0:
                 x[cols] = s
-                residual = a[:, cols] @ (s / scale[cols]) - b
-                if np.max(np.abs(residual)) <= target:
+                if np.max(np.abs(s @ np.array(passive_a) - b)) <= target:
                     return x / scale
                 break
             xp = x[cols]
@@ -347,6 +435,7 @@ def _nnls(a: np.ndarray, b: np.ndarray, target: float) -> np.ndarray:
             x[cols] = xp
             for i in np.flatnonzero(xp <= 0.0)[::-1]:
                 x[passive.pop(i)] = 0.0
+                del passive_a[i]
                 for p, col in enumerate(passive[i:], start=i):  # clear the subdiagonal (p + 1, p)
                     c, sn = rd[p : p + 2, col].tolist()
                     h = math.hypot(c, sn)

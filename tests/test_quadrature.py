@@ -3,6 +3,7 @@ FFT/Cauchy-integral coefficient oracle, and the second-order property
 checked against the exact kernel integrals."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from hnmaxwell.quadrature import (
     FIT_TOL,
     SCHEMES,
     CQWeights,
+    ExpSum,
     NotCompletelyMonotoneError,
     _cm2_constants,
     _nnls,
@@ -373,6 +375,115 @@ class TestExpSumFit:
             fit_exp_sum(w)
 
 
+def one_shot_fit(w):
+    """fit_exp_sum with the fit matrix formed whole: its columns scaled to unit
+    norm, then one QR of [a | b] for the triangular factor _nnls starts from."""
+    table = w.weights
+    rates = quadrature._candidate_rates(w.scheme, w.alpha, w.tau, w.order)
+    a = quadrature._powers(rates, 0, table.size) / table[:, None]
+    scale = np.linalg.norm(a, axis=0)
+    ab = np.column_stack([a / scale, np.ones(table.size)])
+    x = _nnls(np.linalg.qr(ab, mode="r"), lambda l: ab[:, l], FIT_TARGET) / scale
+    keep = x > 0.0
+    return rates[keep], a[:, keep] @ x[keep] * table
+
+
+class TestBlockedFit:
+    """The fit folded from row blocks against the one-shot factor."""
+
+    # largest relative change of w_hat against one_shot_fit over the cases
+    # below was 2.3e-14 (1 or 2 BLAS threads); over 147 scanned tables, the
+    # largest change against the fit that formed the whole matrix was 3.4e-14
+    W_HAT_BOUND = 1e-13
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            100,  # fewer rows than candidate columns
+            quadrature._FIT_BLOCK - 1,  # one block
+            quadrature._FIT_BLOCK,  # one block plus one row
+            3 * quadrature._FIT_BLOCK + 100,  # several blocks
+        ],
+    )
+    @pytest.mark.parametrize(
+        "scheme,alpha,beta,tau",
+        [("cm2", 0.5, 0.5, 1 / 64), ("bdf1", 1.0, 0.7, 0.1), ("bdf2", 0.5, 0.5, 0.01)],
+    )
+    def test_matches_one_shot_factor(self, scheme, alpha, beta, tau, n):
+        w = generate_weights(scheme, alpha, beta, tau, n)
+        self._assert_matches(fit_exp_sum(w), w)
+
+    def test_blocks_of_fewer_rows_than_columns(self):
+        # 8-row blocks: the factor has fewer rows than columns for 25 folds
+        w = generate_weights("cm2", 0.5, 0.5, 1 / 64, 200)
+        with mock.patch.object(quadrature, "_FIT_BLOCK", 8):
+            fit = fit_exp_sum(w)
+        self._assert_matches(fit, w)
+
+    def _assert_matches(self, fit, w):
+        rates, w_hat = one_shot_fit(w)
+        assert fit.rates.size == rates.size
+        # a candidate rate r below 1e-12 gives a column that agrees with
+        # e_0 / w_0 to about r w_0 / w_1, far below what the fit resolves, so
+        # rounding picks among such rates
+        assert np.array_equal(fit.rates[fit.rates > 1e-12], rates[rates > 1e-12])
+        assert np.max(np.abs(fit.weights() / w_hat - 1.0)) <= self.W_HAT_BOUND
+
+    def test_fit_holds_less_than_one_fit_matrix(self):
+        # the one-shot fit held about three (N+1) x (C+1) arrays at its QR
+        w = cm2_weights(0.5, 0.5, 1 / 4096, 4096)
+        columns = quadrature._candidate_rates("cm2", 0.5, 1 / 4096, 4096).size + 1
+        tracemalloc.start()
+        try:
+            fit_exp_sum(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.weights.size * columns * 8
+
+
+class TestExpSumRefuses:
+    """ExpSum holds what its docstring states, or refuses with ValueError."""
+
+    VALID = dict(tau=0.1, order=4, coeffs=[0.5, 0.25], rates=[0.9, 0.5], miss=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("coeffs", [2.0, -1.0], id="negative-coeff"),
+            pytest.param("coeffs", [2.0, 0.0], id="zero-coeff"),
+            pytest.param("coeffs", [2.0, math.inf], id="infinite-coeff"),
+            pytest.param("coeffs", [2.0, math.nan], id="nan-coeff"),
+            pytest.param("rates", [0.5, 1.5], id="rate-above-one"),
+            pytest.param("rates", [0.5, 1.0], id="rate-one"),
+            pytest.param("rates", [0.5, 0.0], id="rate-zero"),
+            pytest.param("rates", [0.5, math.nan], id="nan-rate"),
+            pytest.param("rates", [0.5], id="unequal-lengths"),
+            pytest.param("rates", [[0.9, 0.5]], id="2-d"),
+            pytest.param("tau", 0.0, id="zero-tau"),
+            pytest.param("tau", math.inf, id="infinite-tau"),
+            pytest.param("tau", math.nan, id="nan-tau"),
+            pytest.param("order", -1, id="negative-order"),
+            pytest.param("order", 4.0, id="float-order"),
+            pytest.param("miss", -1e-12, id="negative-miss"),
+            pytest.param("miss", math.inf, id="infinite-miss"),
+            pytest.param("miss", math.nan, id="nan-miss"),
+        ],
+    )
+    def test_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExpSum(**{**self.VALID, field: value})
+
+    def test_empty_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ExpSum(**{**self.VALID, "coeffs": [], "rates": []})
+
+    def test_valid_sum_is_kept_as_float_arrays(self):
+        memory = ExpSum(**self.VALID)
+        assert memory.coeffs.dtype == memory.rates.dtype == float
+        assert memory.weights() == pytest.approx(0.5 * 0.9 ** np.arange(5) + 0.25 * 0.5 ** np.arange(5))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_nnls_kkt(m, n, seed):
@@ -380,7 +491,8 @@ def test_nnls_kkt(m, n, seed):
     # a^T (b - a x) vanishes on the support and is <= 0 off it
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(m, n)), rng.normal(size=m)
-    x = _nnls(a, b, 0.0)
+    ab = np.column_stack([a, b])
+    x = _nnls(np.linalg.qr(ab, mode="r"), lambda l: ab[:, l], 0.0)
     grad = a.T @ (b - a @ x)
     scale = np.linalg.norm(a) * np.linalg.norm(b)
     assert (x >= 0.0).all()
